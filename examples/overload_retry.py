@@ -11,7 +11,9 @@ Walks the service-hardening loop the daemon provides:
 3. submit a campaign whose ``deadline_s`` cannot be met — the service
    expires it at a cell boundary, remaining cells fail through the
    ordinary degraded path (e = 0), and ``wait()`` raises
-   ``DeadlineExpired`` rather than pretending success;
+   ``DeadlineExpired`` rather than pretending success.  This section
+   serves an in-process service whose clock moves 20 ms per measured
+   cell, so the 50 ms budget lapses after the third cell on any host;
 4. drive the load shedder in-process: past ``shed_fraction`` of the
    admission cap, ``check_overload()`` refuses with an ``OverloadError``
    carrying a backlog-derived ``Retry-After`` hint — *before* the
@@ -27,13 +29,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 from repro.core.types import DeviceKind, Precision
 from repro.errors import DeadlineExpired, OverloadError
 from repro.harness.experiment import Experiment
-from repro.service import (AdmissionPolicy, CampaignService, ClientPolicy,
-                           OverloadPolicy, ServiceClient)
+from repro.harness.engine import ResultCache
+from repro.harness.journal import RunRegistry
+from repro.service import (AdmissionPolicy, CampaignDaemon, CampaignService,
+                           ClientPolicy, OverloadPolicy, ServiceClient)
 from repro.service.spec import CampaignSpec
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -68,6 +73,54 @@ def start_daemon(workdir, sock):
     raise SystemExit("daemon did not come up")
 
 
+class CellClock:
+    """A service clock that advances ``per_cell`` seconds per measured cell."""
+
+    def __init__(self, per_cell):
+        self.per_cell = per_cell
+        self.service = None
+
+    def __call__(self):
+        campaigns = (list(self.service.campaigns.values())
+                     if self.service is not None else [])
+        return 1000.0 + self.per_cell * sum(c.cells_done for c in campaigns)
+
+
+def deadline_demo(workdir):
+    clock = CellClock(per_cell=0.02)
+    clock.service = CampaignService(
+        registry=RunRegistry(os.path.join(workdir, "deadline-runs")),
+        cache=ResultCache(os.path.join(workdir, "deadline-cache")),
+        clock=clock)
+    daemon = CampaignDaemon(service=clock.service,
+                            socket_path=os.path.join(workdir, "deadline.sock"))
+    thread = threading.Thread(target=daemon.serve,
+                              kwargs={"install_signals": False}, daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient(daemon.socket_path)
+        doomed = spec_for("overload-deadline",
+                          models=("julia", "numba", "kokkos"),
+                          sizes=(256, 512, 1024, 2048),
+                          deadline_s=0.05, submission_key="demo-key-2")
+        doomed_id = client.submit(doomed)
+        try:
+            client.wait(doomed_id)
+            raise SystemExit("expected the deadline to lapse")
+        except DeadlineExpired as exc:
+            print(f"   wait() raised: {exc}")
+        row = client.campaign(doomed_id)
+        print(f"   {row['stats']['executed']} of {row['cells']['total']} "
+              f"cells ran before the budget lapsed")
+        report = client.report(doomed_id)
+        assert "DEGRADED" in report
+        print("   expired report uses the ordinary degraded accounting "
+              "(e = 0 cells)")
+    finally:
+        daemon.request_shutdown()
+        thread.join(timeout=30)
+
+
 def main() -> None:
     workdir = tempfile.mkdtemp(prefix="repro-overload-demo-")
     sock = os.path.join(workdir, "daemon.sock")
@@ -88,22 +141,6 @@ def main() -> None:
         assert again == first
         client.wait(first)
         print("   campaign finished once; the key never ran it twice")
-
-        print("== 3. deadlines: an unmeetable budget expires honestly ==")
-        doomed = spec_for("overload-deadline",
-                          models=("julia", "numba", "kokkos"),
-                          sizes=(256, 512, 1024, 2048),
-                          deadline_s=0.05, submission_key="demo-key-2")
-        doomed_id = client.submit(doomed)
-        try:
-            client.wait(doomed_id)
-            raise SystemExit("expected the deadline to lapse")
-        except DeadlineExpired as exc:
-            print(f"   wait() raised: {exc}")
-        report = client.report(doomed_id)
-        assert "DEGRADED" in report
-        print("   expired report uses the ordinary degraded accounting "
-              "(e = 0 cells)")
     finally:
         try:
             ServiceClient(sock).shutdown()
@@ -111,9 +148,10 @@ def main() -> None:
             proc.kill()
         proc.wait(timeout=30)
 
+    print("== 3. deadlines: an unmeetable budget expires honestly ==")
+    deadline_demo(workdir)
+
     print("== 4. load shedding: refuse before the admission wall ==")
-    from repro.harness.engine import ResultCache
-    from repro.harness.journal import RunRegistry
     svc = CampaignService(
         registry=RunRegistry(os.path.join(workdir, "shed-runs")),
         cache=ResultCache(os.path.join(workdir, "shed-cache")),

@@ -65,7 +65,8 @@ class CPUSpec:
         FMLA; Zen 3: no, FP16 is converted and Julia's fallback is very
         slow — the paper reports "very low performance" on the AMD CPU).
     numa:
-        NUMA domains.  Their core lists must partition ``range(cores)``.
+        NUMA domains, with ``domain_id`` equal to their position.  Their
+        core lists must partition ``range(cores)``.
     caches:
         The cache hierarchy.
     frontend_ipc:
@@ -94,6 +95,14 @@ class CPUSpec:
             raise MachineModelError("cores and clock must be positive")
         if self.simd_bits not in (64, 128, 256, 512):
             raise MachineModelError(f"unsupported simd width {self.simd_bits}")
+        # Domains are addressed by position (channel "numa<i>" is
+        # cpu.numa[i]), so the ids must be exactly that position.
+        ids = [d.domain_id for d in self.numa]
+        if ids != list(range(len(self.numa))):
+            raise MachineModelError(
+                f"NUMA domain ids of {self.name} must be 0..{len(self.numa) - 1} "
+                f"in order, got {ids}"
+            )
         seen = sorted(c for d in self.numa for c in d.cores)
         if seen != list(range(self.cores)):
             raise MachineModelError(

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
-from ..machine.cpu import CPUSpec
+from ..machine.cpu import CPUSpec, NUMADomain
 from ..sim.fluid import Channel, Flow, FluidSimulation
 from .affinity import ThreadPlacement
 from .numa import MemoryHome, memory_costs
@@ -108,17 +108,23 @@ def simulate_parallel_region(
     load_factor = min(1.0, placement.threads / cpu.cores)
     effective_tax = 1.0 + (migration_tax - 1.0) * load_factor
 
-    channels = [
-        Channel(name=f"numa{d.domain_id}", capacity=d.local_bandwidth_gbs * 1e9)
-        for d in cpu.numa
-    ]
-    sim = FluidSimulation(channels)
+    # Unless every page sits in domain 0, each thread's traffic splits
+    # evenly over the domains, so every domain receives identical flows
+    # and domains of equal capacity run identical event schedules,
+    # finishing each flow at the same instant.  Solve the first domain of
+    # each distinct capacity only; it stands for the rest bit-exactly.
+    solved: Dict[float, NUMADomain] = {}
+    for d in cpu.numa:
+        solved.setdefault(d.local_bandwidth_gbs * 1e9, d)
+    sim = FluidSimulation([Channel(name=f"numa{d.domain_id}", capacity=cap)
+                           for cap, d in solved.items()])
 
     flows: List[Flow] = []
+    owner: List[int] = []  # flows[i] belongs to work[owner[i]]
     compute_secs: List[float] = []
     eff_bytes: List[float] = []
     domains = cpu.numa_domains
-    for w in work:
+    for idx, w in enumerate(work):
         cost = costs[w.thread]
         comp = w.compute_seconds * core_load[placement.cores[w.thread]]
         if unpinned_multi:
@@ -138,22 +144,21 @@ def simulate_parallel_region(
         if home is MemoryHome.SERIAL_NODE0:
             # all pages in domain 0: everything contends on one channel
             flows.append(Flow(f"t{w.thread}", inflated, demand_total, "numa0"))
+            owner.append(idx)
         else:
             per = inflated / domains
-            for d in range(domains):
-                flows.append(Flow(f"t{w.thread}.d{d}", per,
-                                  demand_total / domains, f"numa{d}"))
+            for d in solved.values():
+                flows.append(Flow(f"t{w.thread}.d{d.domain_id}", per,
+                                  demand_total / domains,
+                                  f"numa{d.domain_id}"))
+                owner.append(idx)
 
     results = sim.run(flows) if flows else {}
 
-    per_thread: List[float] = []
-    for idx, w in enumerate(work):
-        mem_finish = max(
-            (r.finish for name, r in results.items()
-             if name == f"t{w.thread}" or name.startswith(f"t{w.thread}.")),
-            default=0.0,
-        )
-        per_thread.append(max(compute_secs[idx], mem_finish))
+    mem_finish = [0.0] * len(work)
+    for flow, idx in zip(flows, owner):
+        mem_finish[idx] = max(mem_finish[idx], results[flow.name].finish)
+    per_thread = [max(comp, mem) for comp, mem in zip(compute_secs, mem_finish)]
 
     busy = max(per_thread, default=0.0)
     # A single-thread region forks and joins but runs no tree barrier.

@@ -96,13 +96,12 @@ class Campaign:
             out["submission_key"] = self.spec.submission_key
         return out
 
-    def deadline_lapsed(self, now: Optional[float] = None) -> bool:
-        """Whether the spec's wall-clock budget has run out."""
+    def deadline_lapsed(self, now: float) -> bool:
+        """Whether the spec's wall-clock budget has run out at ``now``."""
         deadline = self.spec.deadline_s
         if deadline is None or not self.submitted_at:
             return False
-        return (now if now is not None else time.time()) \
-            >= self.submitted_at + deadline
+        return now >= self.submitted_at + deadline
 
 
 class CampaignExecution:
@@ -204,7 +203,7 @@ class CampaignExecution:
             return False
         # Deadline enforcement happens here and only here — at a cell
         # boundary, never mid-cell, and never inside a fingerprint.
-        if self.campaign.deadline_lapsed():
+        if self.campaign.deadline_lapsed(self.service.clock()):
             self._expire()
             return False
         i = self._next

@@ -47,7 +47,6 @@ import os
 import signal
 import socket
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from socketserver import ThreadingMixIn
 from typing import Any, Dict, Optional
@@ -345,7 +344,8 @@ class CampaignDaemon:
         else:
             state = self.service.health_state()
         return {"ok": True, "pid": os.getpid(), "state": state,
-                "uptime_s": round(time.time() - self.service.started_at, 3)}
+                "uptime_s": round(self.service.clock()
+                                  - self.service.started_at, 3)}
 
     def wake(self) -> None:
         """Nudge the scheduler loop (a submission just landed)."""

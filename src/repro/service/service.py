@@ -35,7 +35,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..chaos.plan import chaos_strike
 from ..errors import JournalError, OverloadError, ServiceError
@@ -73,7 +73,8 @@ class CampaignService:
                  cache: Optional[ResultCache] = None,
                  policy: Optional[AdmissionPolicy] = None,
                  options: Optional[RunOptions] = None,
-                 overload: Optional[OverloadPolicy] = None) -> None:
+                 overload: Optional[OverloadPolicy] = None,
+                 clock: Callable[[], float] = time.time) -> None:
         self.registry = registry if registry is not None else RunRegistry()
         self.cache = cache if cache is not None else ResultCache()
         self.scheduler = FairShareScheduler(policy)
@@ -91,8 +92,11 @@ class CampaignService:
         self.dedup_hits = 0
         self._lock = threading.RLock()
         self._steps = 0
-        self.started_at = time.time()
-        self._last_grant = time.time()
+        #: Wall clock (epoch seconds) behind submission times, deadlines,
+        #: stall detection and uptime; tests inject a stepped one.
+        self.clock = clock
+        self.started_at = clock()
+        self._last_grant = clock()
         #: Crash-supervision counters across every campaign this life.
         self.restarts_total = 0
         self.quarantined_total = 0
@@ -182,7 +186,7 @@ class CampaignService:
                 self.scheduler.finish(run_id)
                 raise
             campaign = Campaign(campaign_id=run_id, spec=spec,
-                                submitted_at=time.time())
+                                submitted_at=self.clock())
             self.campaigns[run_id] = campaign
             self._executions[run_id] = CampaignExecution(
                 self, campaign, journal)
@@ -220,7 +224,7 @@ class CampaignService:
                     f"{self.overload.shed_threshold(max_total)} of "
                     f"{max_total}); retry after {hint:g}s",
                     retry_after_s=hint)
-            stalled_for = time.time() - self._last_grant
+            stalled_for = self.clock() - self._last_grant
             if backlog > 0 and stalled_for > self.overload.stall_s:
                 self.shed_total += 1
                 raise OverloadError(
@@ -318,7 +322,7 @@ class CampaignService:
                 campaign = Campaign(campaign_id=run_id, spec=spec,
                                     recovered=True,
                                     submitted_at=state.created
-                                    or time.time())
+                                    or self.clock())
                 campaign.cells_total = state.total_cells
                 self.campaigns[run_id] = campaign
                 self._executions[run_id] = CampaignExecution(
@@ -350,7 +354,7 @@ class CampaignService:
             if campaign_id is None:
                 return False
             campaign = self.campaigns[campaign_id]
-            self._last_grant = time.time()
+            self._last_grant = self.clock()
             if campaign.state == "queued":
                 self.registry.mark_active(campaign_id, pid=os.getpid())
             # Chaos strike point "daemon-grant": an armed plan can
@@ -369,6 +373,9 @@ class CampaignService:
             if not more:
                 self.scheduler.finish(campaign_id)
                 self.registry.release_active(campaign_id)
+                # A finished campaign answers from campaign.results; its
+                # per-cell executor state would only pin daemon memory.
+                del self._executions[campaign_id]
             return True
 
     def _supervise_crash(self, campaign_id: str, exc: Exception) -> bool:
@@ -461,11 +468,9 @@ class CampaignService:
         rather than after pid-liveness detection.
         """
         with self._lock:
+            # Only unfinished campaigns keep an execution (step drops
+            # the rest), so every journal here is still open.
             for campaign_id, execution in self._executions.items():
-                campaign = self.campaigns[campaign_id]
-                if campaign.state in ("done", "failed", "expired",
-                                      "quarantined"):
-                    continue
                 execution.journal.close()
                 self.registry.release_active(campaign_id)
 
@@ -538,7 +543,7 @@ class CampaignService:
             payload: Dict[str, Any] = {
                 "pid": os.getpid(),
                 "state": self.health_state(),
-                "uptime_s": round(time.time() - self.started_at, 3),
+                "uptime_s": round(self.clock() - self.started_at, 3),
                 "backlog": self.scheduler.backlog,
                 "tenants": self.scheduler.snapshot(),
                 "campaigns": campaigns,

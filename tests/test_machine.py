@@ -75,6 +75,18 @@ class TestCPUSpec:
                 numa=(NUMADomain(0, (0, 1), 10.0),),  # cores 2,3 missing
             )
 
+    @pytest.mark.parametrize("ids", [(1, 0), (0, 2), (1, 2)])
+    def test_numa_domain_ids_must_match_position(self, ids):
+        # Channels and NUMA costs address domains by position, so an id
+        # out of place used to surface later as a KeyError mid-simulation.
+        with pytest.raises(MachineModelError, match="domain ids"):
+            CPUSpec(
+                name="bad", cores=4, clock_ghz=1.0, simd_bits=128,
+                fma_units=1, caches=CacheHierarchy(),
+                numa=(NUMADomain(ids[0], (0, 1), 10.0),
+                      NUMADomain(ids[1], (2, 3), 10.0)),
+            )
+
     def test_simd_lanes(self):
         assert EPYC_7A53.simd_lanes(Precision.FP64) == 4   # 256-bit AVX2
         assert EPYC_7A53.simd_lanes(Precision.FP32) == 8

@@ -1,10 +1,14 @@
 """Tests for CPU scheduling: affinity, chunking, NUMA, thread simulation."""
 
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExperimentError, MachineModelError
 from repro.machine import AMPERE_ALTRA, EPYC_7A53
+from repro.machine.cpu import NUMADomain
 from repro.sched import (
     MemoryHome,
     PinPolicy,
@@ -18,10 +22,13 @@ from repro.sched import (
     static_chunks,
 )
 from repro.sched.thread_sim import (
+    BARRIER_PER_LOG2_S,
     FORK_JOIN_BASE_S,
     MIGRATION_COMPUTE_TAX,
     MIN_STREAM_RATE_BS,
+    ThreadSimResult,
 )
+from repro.sim.fluid import Channel, Flow, FluidSimulation
 
 
 class TestAffinity:
@@ -212,3 +219,127 @@ class TestThreadSim:
         r2 = simulate_parallel_region(EPYC_7A53, p2, _work(2))
         r64 = simulate_parallel_region(EPYC_7A53, p64, _work(64))
         assert r64.fork_join_seconds > r2.fork_join_seconds
+
+
+def _oracle_simulate_parallel_region(cpu, placement, work,
+                                     home=MemoryHome.INTERLEAVED,
+                                     migration_tax=MIGRATION_COMPUTE_TAX):
+    """The straightforward simulator the production one must match.
+
+    Simulates one channel per NUMA domain, gives every domain its own
+    copy of each thread's interleaved flow, and finds each thread's
+    memory finish by prefix-matching every flow name against it.
+    """
+    costs = memory_costs(cpu, placement, home)
+    core_load = {}
+    for t in range(placement.threads):
+        core_load[placement.cores[t]] = core_load.get(placement.cores[t], 0) + 1
+    unpinned_multi = (not placement.pinned) and cpu.numa_domains > 1
+    load_factor = min(1.0, placement.threads / cpu.cores)
+    effective_tax = 1.0 + (migration_tax - 1.0) * load_factor
+    sim = FluidSimulation([
+        Channel(name=f"numa{d.domain_id}", capacity=d.local_bandwidth_gbs * 1e9)
+        for d in cpu.numa
+    ])
+    flows, compute_secs, eff_bytes = [], [], []
+    domains = cpu.numa_domains
+    for w in work:
+        comp = w.compute_seconds * core_load[placement.cores[w.thread]]
+        if unpinned_multi:
+            comp *= effective_tax
+        compute_secs.append(comp)
+        inflated = w.dram_bytes * costs[w.thread].bandwidth_inflation
+        eff_bytes.append(inflated)
+        if inflated <= 0:
+            continue
+        demand_total = inflated / comp if comp > 0 else math.inf
+        demand_total = max(demand_total, MIN_STREAM_RATE_BS)
+        if home is MemoryHome.SERIAL_NODE0:
+            flows.append(Flow(f"t{w.thread}", inflated, demand_total, "numa0"))
+        else:
+            for d in range(domains):
+                flows.append(Flow(f"t{w.thread}.d{d}", inflated / domains,
+                                  demand_total / domains, f"numa{d}"))
+    results = sim.run(flows) if flows else {}
+    per_thread = []
+    for idx, w in enumerate(work):
+        mem_finish = max(
+            (r.finish for name, r in results.items()
+             if name == f"t{w.thread}" or name.startswith(f"t{w.thread}.")),
+            default=0.0,
+        )
+        per_thread.append(max(compute_secs[idx], mem_finish))
+    busy = max(per_thread, default=0.0)
+    fork_join = FORK_JOIN_BASE_S
+    if placement.threads > 1:
+        fork_join += BARRIER_PER_LOG2_S * math.log2(placement.threads)
+    bw = (sum(eff_bytes) / busy / 1e9) if busy > 0 else 0.0
+    mean = sum(per_thread) / len(per_thread) if per_thread else 0.0
+    return ThreadSimResult(
+        total_seconds=busy + fork_join,
+        per_thread_seconds=tuple(per_thread),
+        fork_join_seconds=fork_join,
+        achieved_bandwidth_gbs=bw,
+        imbalance=(busy / mean) if mean > 0 else 1.0,
+    )
+
+
+#: A 4-domain part whose channels differ: two share a capacity, two are
+#: unique, so the simulator must keep distinct channels apart while it
+#: folds the equal pair together.
+UNEVEN_EPYC = dataclasses.replace(
+    EPYC_7A53, name="uneven EPYC",
+    numa=tuple(
+        NUMADomain(d.domain_id, d.cores, bw, d.remote_bandwidth_factor,
+                   d.remote_latency_ns)
+        for d, bw in zip(EPYC_7A53.numa, (60.0, 35.5, 60.0, 49.5))
+    ),
+)
+
+
+@st.composite
+def _regions(draw):
+    cpu = draw(st.sampled_from([EPYC_7A53, AMPERE_ALTRA, UNEVEN_EPYC]))
+    # up to twice the core count: oversubscribed placements included
+    threads = draw(st.integers(1, 2 * cpu.cores))
+    placement = place_threads(cpu, threads, draw(st.sampled_from(PinPolicy)))
+    compute = st.one_of(st.just(0.0), st.floats(1e-7, 1e-2))
+    traffic = st.one_of(st.just(0.0), st.floats(1e3, 1e10))
+    work = [ThreadWork(t, draw(compute), draw(traffic))
+            for t in range(threads)]
+    return cpu, placement, work, draw(st.sampled_from(MemoryHome))
+
+
+class TestThreadSimEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(_regions())
+    def test_matches_all_domain_oracle_exactly(self, region):
+        cpu, placement, work, home = region
+        assert simulate_parallel_region(cpu, placement, work, home) == \
+            _oracle_simulate_parallel_region(cpu, placement, work, home)
+
+    def test_uneven_channels_match_oracle_exactly(self):
+        p = place_threads(UNEVEN_EPYC, 64, PinPolicy.COMPACT)
+        work = [ThreadWork(t, 1e-5 * (1 + t % 3), 2e7 * (1 + t % 5))
+                for t in range(64)]
+        assert simulate_parallel_region(UNEVEN_EPYC, p, work) == \
+            _oracle_simulate_parallel_region(UNEVEN_EPYC, p, work)
+
+    @pytest.mark.parametrize("cpu, expected", [
+        (EPYC_7A53, 64),     # four equal channels: one solved
+        (UNEVEN_EPYC, 192),  # three distinct capacities
+    ])
+    def test_interleaved_region_solves_each_distinct_channel_once(
+            self, monkeypatch, cpu, expected):
+        handed = []
+        run = FluidSimulation.run
+
+        def counting_run(sim, flows):
+            handed.append(len(flows))
+            return run(sim, flows)
+
+        monkeypatch.setattr(FluidSimulation, "run", counting_run)
+        p = place_threads(cpu, 64, PinPolicy.COMPACT)
+        simulate_parallel_region(cpu, p, _work(64, comp=1e-4, traffic=1e7),
+                                 MemoryHome.INTERLEAVED)
+        assert handed == [expected]

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import repro
+from repro.chaos.plan import CHAOS_PLAN_ENV, ChaosEvent, ChaosPlan
 from repro.config import resolve_campaign_spec
 from repro.core.types import DeviceKind, MatrixShape, Precision
 from repro.errors import (
@@ -495,6 +496,36 @@ def keyed_spec(key, deadline=None, **kw):
                                deadline_s=deadline)
 
 
+class CellClock:
+    """A service clock that moves only when the service measures a cell.
+
+    It reads ``1000 + per_cell * cells`` seconds, ``cells`` being the
+    cells measured across the service's campaigns, so a deadline lapses
+    at a chosen cell boundary however fast the simulator runs.
+    """
+
+    def __init__(self, per_cell):
+        self.per_cell = per_cell
+        self.service = None
+
+    def __call__(self):
+        campaigns = (list(self.service.campaigns.values())
+                     if self.service is not None else [])
+        return 1000.0 + self.per_cell * sum(c.cells_done for c in campaigns)
+
+
+def cell_clocked_service(registry, cache, per_cell):
+    clock = CellClock(per_cell)
+    clock.service = CampaignService(registry=registry, cache=cache,
+                                    clock=clock)
+    return clock.service
+
+
+#: A 50 ms budget on a clock that moves 20 ms per measured cell lapses
+#: at the boundary after the third cell: 40 ms < 50 ms <= 60 ms.
+DEADLINE_S, SECONDS_PER_CELL, CELLS_BEFORE_EXPIRY = 0.05, 0.02, 3
+
+
 class TestDeadlineExpiry:
     def test_lapsed_deadline_expires_through_degraded_path(self, store):
         registry, cache = store
@@ -552,7 +583,7 @@ class TestDeadlineExpiry:
         assert svc2.recover() == [cid]
         # the recovered campaign's budget counts from the journal's
         # birth, not the restart
-        assert svc2.campaigns[cid].deadline_lapsed()
+        assert svc2.campaigns[cid].deadline_lapsed(svc2.clock())
         svc2.run_until_idle()
         assert svc2.campaigns[cid].state == "expired"
 
@@ -750,23 +781,39 @@ class TestDaemonWire:
         assert overload["duplicates"] == 2
         assert overload["accepted"] == 1
 
-    def test_expired_campaign_raises_deadline_expired_on_wait(self, daemon):
-        client = ServiceClient(daemon.socket_path)
-        # 12 cells under a 50 ms budget cannot finish in time, so the
-        # campaign must expire at a cell boundary whatever the timing.
-        spec = keyed_spec("wire-dl", deadline=0.05, exp_id="wiredl",
-                          models=("julia", "numba", "kokkos"),
-                          sizes=(256, 512, 1024, 2048))
-        cid = client.submit(spec)
-        with pytest.raises(DeadlineExpired) as excinfo:
-            client.wait(cid, timeout=120)
-        assert excinfo.value.campaign_id == cid
-        assert excinfo.value.deadline_s == 0.05
-        row = client.campaign(cid)
-        assert row["state"] == "expired"
-        assert row["deadline_s"] == 0.05
-        # the degraded report still renders
-        assert "DEGRADED" in client.report(cid)
+    def test_expired_campaign_raises_deadline_expired_on_wait(
+            self, store, tmp_path):
+        # The service clock passes the 50 ms budget after the third of
+        # 12 cells, so the campaign expires at that cell boundary.
+        registry, cache = store
+        svc = cell_clocked_service(registry, cache, SECONDS_PER_CELL)
+        daemon = CampaignDaemon(service=svc,
+                                socket_path=str(tmp_path / "dl.sock"))
+        thread = threading.Thread(
+            target=daemon.serve, kwargs={"install_signals": False},
+            daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(daemon.socket_path)
+            spec = keyed_spec("wire-dl", deadline=DEADLINE_S,
+                              exp_id="wiredl",
+                              models=("julia", "numba", "kokkos"),
+                              sizes=(256, 512, 1024, 2048))
+            cid = client.submit(spec)
+            with pytest.raises(DeadlineExpired) as excinfo:
+                client.wait(cid, timeout=120)
+            assert excinfo.value.campaign_id == cid
+            assert excinfo.value.deadline_s == 0.05
+            row = client.campaign(cid)
+            assert row["state"] == "expired"
+            assert row["deadline_s"] == 0.05
+            assert row["stats"]["executed"] == CELLS_BEFORE_EXPIRY
+            # the degraded report still renders
+            assert "DEGRADED" in client.report(cid)
+        finally:
+            daemon.request_shutdown()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
     def test_report_json_roundtrips_byte_identically(self, daemon):
         client = ServiceClient(daemon.socket_path)
@@ -1020,10 +1067,20 @@ class TestDaemonProcessRestart:
                    PYTHONPATH=src_dir + os.pathsep
                    + os.environ.get("PYTHONPATH", ""))
 
-        def start_daemon():
+        # The first daemon hangs inside its 17th grant, after
+        # mark_active and before the cell.  Each 12-cell campaign takes
+        # 12 grants, so grant 17 can only come after both submits
+        # landed, and it belongs to a campaign still in flight: the kill
+        # lands mid-campaign however fast the cells run.
+        plan = ChaosPlan((ChaosEvent("daemon-grant", "hang", after=16,
+                                     count=1),)).write(
+            str(tmp_path / "plan.json"))
+
+        def start_daemon(extra_env=()):
             return subprocess.Popen(
                 [sys.executable, "-m", "repro", "serve", "--socket", sock],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                env=dict(env, **dict(extra_env)),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
         spec_a = CampaignSpec(
             experiment=small_exp(exp_id="kill9-a",
@@ -1037,7 +1094,7 @@ class TestDaemonProcessRestart:
             tenant="bob")
 
         registry = RunRegistry(runs_dir)
-        first = start_daemon()
+        first = start_daemon({CHAOS_PLAN_ENV: plan})
         try:
             assert _wait_until(lambda: _ping_ok(sock)), "daemon never served"
             client = ServiceClient(sock)
@@ -1147,7 +1204,7 @@ class TestCliService:
         from repro.cli import main
 
         registry, cache = store
-        svc = CampaignService(registry=registry, cache=cache)
+        svc = cell_clocked_service(registry, cache, SECONDS_PER_CELL)
         sock = str(tmp_path / "dl.sock")
         daemon = CampaignDaemon(service=svc, socket_path=sock)
         thread = threading.Thread(
@@ -1164,6 +1221,8 @@ class TestCliService:
             captured = capsys.readouterr()
             assert rc == 1
             assert "expired" in captured.err
+            [campaign] = svc.campaigns.values()
+            assert campaign.stats["executed"] == CELLS_BEFORE_EXPIRY
         finally:
             main(["serve", "--stop", "--socket", sock])
             thread.join(timeout=30)
