@@ -2,13 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint audit bench bench-audit bench-engine bench-paper bench-service chaos-smoke engine-smoke service-smoke report report-cached faults breaker resume fsck verify examples clean
+.PHONY: install test lint audit bench bench-audit bench-engine bench-paper bench-service chaos-smoke engine-smoke loc service-smoke report report-cached faults breaker resume fsck verify examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Program size: total line count of src/**/*.py, tracked next to the
+# benches so a change that deletes a code path shows up as a number.
+loc:
+	@echo "src/**/*.py: $$(find src -name '*.py' -exec cat {} + | wc -l) lines"
 
 # Style lint (ruff) + type check (mypy) — each skipped when not
 # installed — plus the kernel IR linter.

@@ -202,14 +202,19 @@ def scenario_daemon_kill(workdir: str) -> ChaosScenarioResult:
         except ServiceError:
             return False
 
+    # Both campaigns are durable before the daemon starts, so its
+    # startup recover() queues them together and the kill lands with two
+    # tenants queued however fast the cells run.  Submitting over the
+    # socket would race the first campaign's grants against the second
+    # submit: the daemon can die before it answers.
+    queue = CampaignService(registry=RunRegistry(runs_dir),
+                            cache=ResultCache(cache_dir))
+    id_a = queue.submit(spec_a)
+    id_b = queue.submit(spec_b)
+    queue.suspend()
     first = subprocess.Popen(serve_args, env=_clean_env(workdir, plan_path),
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        if not _wait_until(ping_ok):
-            raise ConfigError("chaos daemon never served")
-        client = ServiceClient(sock)
-        id_a = client.submit(spec_a)
-        id_b = client.submit(spec_b)
         # The armed plan SIGKILLs the daemon on its 9th grant — no
         # graceful unwind, no sidecar release, journals torn mid-run.
         first.wait(timeout=_SCENARIO_TIMEOUT_S)

@@ -1,10 +1,13 @@
 """Sweep execution engine: concurrent cell fan-out + persistent caching.
 
-The substrate under ``run_experiment``, the figures, Table III and
+The substrate under ``run_campaign``, the figures, Table III and
 ``repro report``: every (model, shape) cell of a sweep is fingerprinted,
 served from the on-disk :class:`ResultCache` when possible, and executed
 concurrently otherwise, with a deterministic merge that keeps engine
-output bit-identical to the serial reference loop.
+output bit-identical to the serial reference loop.  Every cell takes the
+one path of :class:`~repro.harness.engine.cell.CellPipeline`, whichever
+driver steps it: the engine's serial, thread-pool and process-pool
+loops, or the campaign service.
 
 Process-wide configuration (read once, on first use):
 
@@ -12,7 +15,7 @@ Process-wide configuration (read once, on first use):
 * ``REPRO_CACHE_DIR`` relocates it (default
   ``$XDG_CACHE_HOME/repro/results``);
 * ``REPRO_JOBS=N`` caps the worker-pool width (``1`` forces serial);
-* ``REPRO_ENGINE=process`` swaps the GIL-bound thread pool for a
+* ``REPRO_ENGINE=process`` swaps the thread pool for a
   ``ProcessPoolExecutor`` so ``--jobs`` scales past one core;
 * ``REPRO_FAULTS`` / ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` /
   ``REPRO_MAX_CELL_SECONDS`` / ``REPRO_FAIL_FAST`` configure the
@@ -27,7 +30,8 @@ from typing import Optional
 
 from .cache import (CacheStats, LOCK_GRACE_SECONDS, ResultCache,
                     TMP_GRACE_SECONDS, default_cache_dir)
-from .executor import ENGINE_MODES, CellRecord, SweepEngine, SweepReport
+from .cell import CellRecord
+from .executor import ENGINE_MODES, SweepEngine, SweepReport
 from .fingerprint import (
     CONSTANTS_VERSION,
     campaign_fingerprint,
@@ -94,7 +98,7 @@ _default_run_options: Optional[RunOptions] = None
 def default_run_options() -> RunOptions:
     """The process-wide :class:`RunOptions`, from the environment on
     first use.  ``repro report`` and the figure builders call
-    ``run_experiment`` with no explicit options; this is what they get,
+    ``run_campaign`` with no explicit options; this is what they get,
     so a campaign inherits ``REPRO_FAULTS``-family knobs (or a CLI
     override installed via :func:`set_default_run_options`) everywhere."""
     global _default_run_options

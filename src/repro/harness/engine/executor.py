@@ -3,15 +3,24 @@
 ``SweepEngine.run`` is contractually bit-identical to the serial
 reference loop: cells fan out over a ``concurrent.futures`` executor
 (every cell is an independent, deterministic simulation) and merge back
-into the :class:`ResultSet` in serial cell order.  Two fan-out modes
-exist: ``mode="thread"`` (the classic GIL-bound pool — cheap, but the
-Python-heavy simulator loops serialize on the GIL) and
-``mode="process"`` (``--engine process`` / ``REPRO_ENGINE=process``),
-which dispatches each cache-missed cell to a ``ProcessPoolExecutor``
-worker carrying a frozen payload (see
-:mod:`repro.harness.engine.worker`), scaling ``--jobs`` past one core.
-The parent stays the single writer of the journal and the sole merge
-point; workers write the (multi-process-safe) result cache themselves.
+into the :class:`ResultSet` in serial cell order.  Every cell takes the
+one path of :class:`~repro.harness.engine.cell.CellPipeline`; the
+engine only chooses the driver that steps it.  Two fan-out modes exist:
+
+* ``mode="thread"`` (the default) is a thread pool.  The simulator's
+  Python loops still take turns on the GIL, but the pool overlaps each
+  cell's cache put (disk I/O) with other cells' simulation, so on an
+  empty cache it beats serial: a cold ``repro report --full`` took a
+  median 1.51 s against 1.75 s serial (thread faster in 12 of 12
+  alternating pairs).  With ``REPRO_CACHE=0`` there is no put to
+  overlap and serial wins, 1.02 s against 1.24 s (7 of 8 pairs).
+* ``mode="process"`` (``--engine process`` / ``REPRO_ENGINE=process``)
+  dispatches each cache-missed cell to a ``ProcessPoolExecutor`` worker
+  carrying a frozen payload (see :mod:`repro.harness.engine.worker`),
+  scaling ``--jobs`` past one core.  The parent stays the single writer
+  of the journal and the sole merge point; workers write the
+  (multi-process-safe) result cache themselves.
+
 A persistent :class:`ResultCache` keyed by cell fingerprints makes warm
 re-runs — a second ``repro report``, regenerating a figure after editing
 prose — skip the simulator entirely.
@@ -62,88 +71,32 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Dict, List, Optional
 
-from ...core.types import MatrixShape, Precision
-from ...errors import (
-    CellFailure,
-    ConfigError,
-    RetryExhaustedError,
-    RunInterrupted,
-    WorkerLost,
-)
-from ...models.base import ProgrammingModel
-from ...models.registry import model_by_name
-from ...sim.faults import FaultInjector
+from ...errors import CellFailure, ConfigError, RunInterrupted
 from ...trace.events import EventKind
 from ...trace.profiler import Profiler
 from ..experiment import Experiment
-from ..export import measurement_from_dict, measurement_to_dict
-from ..health import (
-    BreakerState,
-    BreakerTransition,
-    FallbackLadder,
-    HealthRegistry,
-    resolve_hop,
-)
-from ..results import Measurement, ResultSet
+from ..export import measurement_to_dict
+from ..health import BreakerTransition
+from ..results import ResultSet
 from .cache import ResultCache
-from .fingerprint import campaign_fingerprint, cell_fingerprint
+from .cell import BREAKER_EVENT, CellPipeline, CellRecord
 from .options import RunOptions
 from .worker import (
     CellTask,
     RunPayload,
-    attempt_cell,
     execute_cell_payload,
     failed_measurement,
 )
 
 __all__ = ["CellRecord", "SweepReport", "SweepEngine", "ENGINE_MODES"]
 
-#: Executor modes ``SweepEngine`` accepts: a GIL-bound thread pool (the
-#: classic engine) or a true multi-core process pool.
+#: Executor modes ``SweepEngine`` accepts: a thread pool (the default)
+#: or a true multi-core process pool.
 ENGINE_MODES = ("thread", "process")
-
-#: Trace event kind for each breaker state a lane can transition *into*.
-_BREAKER_EVENT = {
-    BreakerState.OPEN: EventKind.BREAKER_OPEN,
-    BreakerState.HALF_OPEN: EventKind.BREAKER_HALF_OPEN,
-    BreakerState.CLOSED: EventKind.BREAKER_CLOSE,
-}
-
-
-@dataclass(frozen=True)
-class CellRecord:
-    """Observability record of one executed, served or failed cell."""
-
-    model: str
-    shape: str
-    fingerprint: str
-    cached: bool
-    wall_s: float
-    #: Wall-clock offset of this cell from the start of the engine run —
-    #: real (possibly overlapping) positions under the thread-pool fan-out.
-    start_s: float = 0.0
-    #: "ok" | "cached" | "replayed" | "failed" | "substituted"
-    status: str = "ok"
-    attempts: int = 1
-    faults: int = 0
-    #: Lane that actually served the cell when it was substituted ("").
-    served_by: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "failed"
-
-    @property
-    def replayed(self) -> bool:
-        return self.status == "replayed"
-
-    @property
-    def substituted(self) -> bool:
-        return self.status == "substituted"
-
 
 @dataclass
 class SweepReport:
@@ -225,7 +178,7 @@ class SweepReport:
             # breaker clock itself is simulated lane time).
             offset = (self.cells[tr.cell_index].start_s
                       if 0 <= tr.cell_index < len(self.cells) else 0.0)
-            prof.record_at(_BREAKER_EVENT[tr.to_state], tr.lane, offset, 0.0,
+            prof.record_at(BREAKER_EVENT[tr.to_state], tr.lane, offset, 0.0,
                            cell=tr.cell_index, at_s=tr.at_s,
                            reason=tr.reason)
         return prof
@@ -353,494 +306,250 @@ class SweepEngine:
         :class:`~repro.errors.RunInterrupted`, and fingerprints found in
         ``options.replay`` are served from a prior run's journal without
         touching cache or simulator — the resume path.
+
+        Every cell goes through one :class:`CellPipeline`; this method
+        only picks the driver that steps it.  Outside breaker runs,
+        replays and cache hits are served up front, in cell order (hits
+        journaled), before any miss executes.
         """
-        opts = options if options is not None else RunOptions()
-        if profiler is None:
-            profiler = opts.profiler
+        opts = (options if options is not None
+                else RunOptions()).with_profiler(profiler)
         journal = opts.journal
-        replay = opts.replay or {}
-        replay_meta = opts.replay_meta or {}
         run_id = (journal.run_id if journal is not None
                   else (opts.run_id or ""))
-        injector = (FaultInjector(opts.faults) if opts.faults.enabled
-                    else None)
-        health: Optional[HealthRegistry] = None
-        if opts.breaker.enabled:
-            ladder = (opts.fallback if opts.fallback is not None
-                      else FallbackLadder.default_for(experiment))
-            health = HealthRegistry(opts.breaker, ladder, experiment)
-        run_start = time.perf_counter()
-        cells: List[Tuple[ProgrammingModel, MatrixShape]] = [
-            (model_by_name(name), shape)
-            for name in experiment.models
-            for shape in experiment.shapes()
-        ]
-        fingerprints = [cell_fingerprint(experiment, model.name, shape,
-                                         faults=opts.faults)
-                        for model, shape in cells]
-        if journal is not None and not journal.opened:
-            journal.open_run(
-                manifest=experiment.to_dict(),
-                campaign=campaign_fingerprint(
-                    experiment, opts.faults, breaker=opts.breaker,
-                    fallback=health.ladder if health is not None else None),
-                options=opts.payload(),
-                cells=[{"index": i, "model": model.name,
-                        "shape": str(shape), "fingerprint": fingerprints[i]}
-                       for i, (model, shape) in enumerate(cells)],
-            )
-        measurements: List[Optional[Measurement]] = [None] * len(cells)
-        records: List[Optional[CellRecord]] = [None] * len(cells)
-
-        if health is None:
-            for i, (model, shape) in enumerate(cells):
-                replayed = replay.get(fingerprints[i])
-                if replayed is None:
-                    continue
-                measurements[i] = replayed
-                records[i] = CellRecord(
-                    model=model.name, shape=str(shape),
-                    fingerprint=fingerprints[i], cached=False, wall_s=0.0,
-                    start_s=time.perf_counter() - run_start,
-                    status="replayed")
-
-        # Breaker runs bypass cache reads: routing depends on lane state
-        # accumulated across cells, so a cache hit would starve the state
-        # machine of the native outcome that drives it (same precedent as
-        # profiler runs, which need the trace events a hit would skip).
-        use_cache_reads = (self.cache is not None and profiler is None
-                           and health is None)
-        misses: List[int] = []
-        if health is not None:
-            misses = list(range(len(cells)))
-        else:
-            for i, (model, shape) in enumerate(cells):
-                if measurements[i] is not None:
-                    continue
-                cached = (self.cache.get(fingerprints[i]) if use_cache_reads
-                          else None)
-                if cached is None:
-                    misses.append(i)
-                else:
-                    measurements[i] = cached
-                    records[i] = CellRecord(
-                        model=model.name, shape=str(shape),
-                        fingerprint=fingerprints[i], cached=True, wall_s=0.0,
-                        start_s=time.perf_counter() - run_start,
-                        status="cached")
-                    if journal is not None:
-                        journal.cell_done(i, fingerprints[i], cached,
-                                          cached=True, wall_s=0.0)
-
-        traces: List[Optional[Profiler]] = [None] * len(cells)
-
-        def execute(i: int) -> None:
-            model, shape = cells[i]
-            cell_prof = Profiler() if profiler is not None else None
-            if journal is not None:
-                journal.cell_start(i, model.name, str(shape),
-                                   fingerprints[i])
-            t0 = time.perf_counter()
-            start_s = t0 - run_start
-            m, attempts, faults_hit, _spent = self._attempt_cell(
-                model, shape, experiment, opts, injector, cell_prof)
-            wall = time.perf_counter() - t0
-            if self.cache is not None and not m.failed:
-                # Failed cells are never cached: a transient node condition
-                # must not outlive the run that suffered it.
-                self.cache.put(fingerprints[i], m,
-                               metadata={"experiment": experiment.exp_id})
-            if journal is not None:
-                if m.failed:
-                    journal.cell_failed(i, fingerprints[i], m,
-                                        attempts=attempts, faults=faults_hit,
-                                        reason=m.note)
-                else:
-                    journal.cell_done(i, fingerprints[i], m, cached=False,
-                                      wall_s=wall, attempts=attempts,
-                                      faults=faults_hit)
-            measurements[i] = m
-            traces[i] = cell_prof
-            records[i] = CellRecord(
-                model=model.name, shape=str(shape),
-                fingerprint=fingerprints[i], cached=False, wall_s=wall,
-                start_s=start_s, status="failed" if m.failed else "ok",
-                attempts=attempts, faults=faults_hit)
-
-        def execute_health(i: int) -> None:
-            # One cell under the health subsystem, in strict cell order:
-            # route -> native attempt (unless the lane is OPEN) -> serve
-            # via the fallback ladder if the lane is/just went OPEN ->
-            # charge simulated costs to the lane clock -> journal the
-            # per-cell health metadata that makes resume byte-identical.
-            model, shape = cells[i]
-            fp = fingerprints[i]
-            lane = health.lane_for(model.name)
-            replayed = replay.get(fp)
-            if replayed is not None:
-                meta = health.require_meta(replay_meta.get(fp), fp)
-                health.feed_replay(lane, meta, i)
-                # Transitions replayed here were journaled by the original
-                # process; keep them in the report history only.
-                health.drain()
-                measurements[i] = replayed
-                records[i] = CellRecord(
-                    model=model.name, shape=str(shape), fingerprint=fp,
-                    cached=False, wall_s=0.0,
-                    start_s=time.perf_counter() - run_start,
-                    status="replayed", served_by=replayed.served_by)
-                return
-            cell_prof = Profiler() if profiler is not None else None
-            if journal is not None:
-                journal.cell_start(i, model.name, str(shape), fp)
-            t0 = time.perf_counter()
-            start_s = t0 - run_start
-            decision = lane.route(i)
-            meta = {"native": "none", "native_cost_s": 0.0,
-                    "serve_cost_s": 0.0}
-            attempts = 0
-            faults_hit = 0
-            m: Optional[Measurement] = None
-            if decision != "substitute":
-                m, attempts, faults_hit, spent_s = self._attempt_cell(
-                    model, shape, experiment, opts, injector, cell_prof)
-                native_cost = spent_s + (0.0 if m.failed
-                                         else sum(m.times_s))
-                meta["native"] = "failed" if m.failed else "ok"
-                meta["native_cost_s"] = native_cost
-                lane.record_native(not m.failed, native_cost, i)
-            final = m
-            serve_cost = 0.0
-            if ((m is None or m.failed)
-                    and lane.state is BreakerState.OPEN):
-                served, serve_cost, hops_tried = self._serve_via_ladder(
-                    model, shape, experiment, opts, injector, cell_prof,
-                    health, lane.lane)
-                if served is not None:
-                    final = served
-                else:
-                    reason = (m.note if m is not None
-                              else f"lane {lane.lane} open")
-                    final = Measurement(
-                        model=model.name, display=model.display,
-                        shape=shape, precision=experiment.precision,
-                        supported=False, failed=True,
-                        note=(f"{reason}; fallback ladder exhausted "
-                              f"({hops_tried} hop(s) tried)"),
-                        substituted_from=lane.lane, ladder_hops=hops_tried)
-                meta["serve_cost_s"] = serve_cost
-            lane.record_substituted(serve_cost)
-            assert final is not None
-            wall = time.perf_counter() - t0
-            for tr in health.drain():
-                if journal is not None:
-                    journal.breaker(**tr.payload())
-                if cell_prof is not None:
-                    cell_prof.record(_BREAKER_EVENT[tr.to_state], tr.lane,
-                                     0.0, cell=tr.cell_index, at_s=tr.at_s,
-                                     reason=tr.reason)
-            if (self.cache is not None and not final.failed
-                    and not final.substituted):
-                # Only native successes are cached: a substituted cell is
-                # a routing outcome of *this* run's lane state, not a
-                # reusable property of the (experiment, model, shape) key.
-                self.cache.put(fp, final,
-                               metadata={"experiment": experiment.exp_id})
-            if journal is not None:
-                if final.failed:
-                    journal.cell_failed(i, fp, final, attempts=attempts,
-                                        faults=faults_hit, reason=final.note,
-                                        health=meta)
-                else:
-                    journal.cell_done(i, fp, final, cached=False,
-                                      wall_s=wall, attempts=attempts,
-                                      faults=faults_hit, health=meta)
-            measurements[i] = final
-            traces[i] = cell_prof
-            if final.failed:
-                status = "failed"
-            elif final.substituted:
-                status = "substituted"
-            else:
-                status = "ok"
-            records[i] = CellRecord(
-                model=model.name, shape=str(shape), fingerprint=fp,
-                cached=False, wall_s=wall, start_s=start_s, status=status,
-                attempts=attempts, faults=faults_hit,
-                served_by=final.served_by)
+        pipeline = CellPipeline(experiment, opts, cache=self.cache)
+        pipeline.open_run()
+        # Breaker runs replay inside the drive, in strict cell order: lane
+        # state crosses cells, so a replayed outcome must land between
+        # its neighbours'.
+        misses = [i for i in range(len(pipeline.cells))
+                  if pipeline.health is not None
+                  or not (pipeline.replay(i) or pipeline.cached(i))]
 
         workers = 1
-        if health is None and self.parallel and len(misses) > 1:
+        if pipeline.health is None and self.parallel and len(misses) > 1:
             workers = min(len(misses),
                           self.max_workers or (os.cpu_count() or 4))
-
-        def drive_serial() -> None:
-            fn = execute if health is None else execute_health
-            for i in misses:
-                fn(i)
-
-        def drive_threads() -> None:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            try:
-                futures = [pool.submit(execute, i) for i in misses]
-                for future in futures:
-                    future.result()
-            finally:
-                # In-flight cells finish (and journal themselves);
-                # never-started ones are cancelled.
-                pool.shutdown(wait=True, cancel_futures=True)
-
-        starts: Dict[int, float] = {}
-
-        def absorb(result: dict) -> None:
-            # Parent-side merge of one worker result: re-raise fail-fast
-            # errors as their original class, mirror the worker's cache
-            # store into the parent counters, journal through the single
-            # parent writer, and reconstruct the private trace.
-            i = result["index"]
-            err = result.get("error")
-            if err is not None:
-                err_cls = {"RetryExhaustedError": RetryExhaustedError,
-                           "WorkerLost": WorkerLost}.get(
-                               err["type"], CellFailure)
-                raise err_cls(err["message"], cell=err["cell"],
-                              attempts=err["attempts"], reason=err["reason"])
-            payload = result["measurement"]
-            m = measurement_from_dict(
-                payload, default_precision=Precision.parse(
-                    payload.get("precision", "fp64")))
-            if self.cache is not None and result["stored"]:
-                self.cache.stats.record(stores=1)
-            wall = result["wall_s"]
-            model, shape = cells[i]
-            if journal is not None:
-                # The start/done pair lands here, in drain (= cell) order,
-                # keeping the record stream identical to a serial run's.
-                # Recovery semantics are unchanged: a cell without its
-                # done record re-executes on resume either way.
-                journal.cell_start(i, model.name, str(shape),
-                                   fingerprints[i])
-                if m.failed:
-                    journal.cell_failed(i, fingerprints[i], m,
-                                        attempts=result["attempts"],
-                                        faults=result["faults"],
-                                        reason=m.note)
-                else:
-                    journal.cell_done(i, fingerprints[i], m, cached=False,
-                                      wall_s=wall,
-                                      attempts=result["attempts"],
-                                      faults=result["faults"])
-            if result.get("events") is not None:
-                prof = Profiler()
-                for kind, name, duration_s, meta in result["events"]:
-                    prof.record(EventKind(kind), name, duration_s, **meta)
-                traces[i] = prof
-            measurements[i] = m
-            records[i] = CellRecord(
-                model=model.name, shape=str(shape),
-                fingerprint=fingerprints[i], cached=False, wall_s=wall,
-                start_s=starts.get(i, 0.0),
-                status="failed" if m.failed else "ok",
-                attempts=result["attempts"], faults=result["faults"])
-
-        watchdog_counts = {"respawns": 0, "redrives": 0}
-
-        def drive_process() -> None:
-            # Supervised fan-out: the parent is the watchdog.  It waits
-            # on the *oldest* outstanding cell (submit order = cell
-            # order, so that wait doubles as the deterministic merge);
-            # a worker that vanishes (SIGKILL, segfault — surfaced as
-            # BrokenProcessPool on every pending future at once) or
-            # hangs past the policy deadline gets the whole pool killed
-            # and rebuilt, finished results harvested, and unfinished
-            # cells resubmitted.  A cell that exhausts its redrive
-            # budget fails through the normal degraded-cell path, so
-            # the journal record stream stays deterministic either way.
-            wd = opts.watchdog
-            payload = RunPayload(
-                experiment=experiment.to_dict(), faults=opts.faults,
-                retry=opts.retry, fail_fast=opts.fail_fast,
-                traced=profiler is not None,
-                cache_root=(self.cache.root if self.cache is not None
-                            else None))
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=self._mp_context())
-            outstanding: Dict[int, object] = {}  # index -> future
-            ready: Dict[int, dict] = {}          # index -> result dict
-            drives: Dict[int, int] = {}          # index -> submissions
-
-            def submit(i: int) -> None:
-                model, shape = cells[i]
-                starts.setdefault(i, time.perf_counter() - run_start)
-                drives[i] = drives.get(i, 0) + 1
-                task = CellTask(index=i, model=model.name,
-                                shape=(shape.m, shape.n, shape.k),
-                                fingerprint=fingerprints[i])
-                outstanding[i] = pool.submit(execute_cell_payload,
-                                             payload, task)
-
-            def harvest() -> None:
-                # Results that landed before the pool broke are still
-                # good; keeping them means recovery never re-runs a
-                # finished cell.
-                for j, future in list(outstanding.items()):
-                    if not future.done() or future.cancelled():
-                        continue
-                    try:
-                        ready[j] = future.result(timeout=0)
-                    except Exception:
-                        continue
-                    del outstanding[j]
-
-            def lost_result(i: int, why: str) -> dict:
-                # Synthetic worker result for a cell the watchdog gave
-                # up on; flows through absorb() like any real failure.
-                model, shape = cells[i]
-                cell = f"{model.name}@{shape}"
-                attempts = drives.get(i, 1)
-                if opts.fail_fast:
-                    return {"index": i,
-                            "error": {"type": "WorkerLost",
-                                      "message": f"cell {cell}: {why}",
-                                      "cell": cell, "attempts": attempts,
-                                      "reason": why}}
-                m = failed_measurement(model, shape, experiment, why)
-                return {"index": i, "error": None,
-                        "measurement": measurement_to_dict(m),
-                        "attempts": attempts, "faults": 0, "wall_s": 0.0,
-                        "stored": False, "events": None}
-
-            def recover(why: str) -> None:
-                nonlocal pool
-                watchdog_counts["respawns"] += 1
-                harvest()
-                # kill(), not terminate(): a hung worker may be blocked
-                # in native code where SIGTERM never gets a look-in.
-                for proc in list(dict(getattr(pool, "_processes", None)
-                                      or {}).values()):
-                    with contextlib.suppress(Exception):
-                        proc.kill()
-                pool.shutdown(wait=False, cancel_futures=True)
-                if watchdog_counts["respawns"] > wd.max_respawns:
-                    print(f"repro: watchdog: {why}; respawn budget "
-                          f"({wd.max_respawns}) exhausted, failing "
-                          f"{len(outstanding)} unfinished cell(s)",
-                          file=sys.stderr)
-                    for j in sorted(outstanding):
-                        ready[j] = lost_result(
-                            j, f"{why}; worker-pool respawn budget "
-                               f"({wd.max_respawns}) exhausted")
-                    outstanding.clear()
-                    return
-                print(f"repro: watchdog: {why}; respawning worker pool "
-                      f"({watchdog_counts['respawns']}/{wd.max_respawns})",
-                      file=sys.stderr)
-                pool = ProcessPoolExecutor(max_workers=workers,
-                                           mp_context=self._mp_context())
-                resubmit = sorted(outstanding)
-                outstanding.clear()
-                for j in resubmit:
-                    if drives.get(j, 0) > wd.max_redrives:
-                        ready[j] = lost_result(
-                            j, f"{why}; cell re-driven "
-                               f"{drives[j] - 1} time(s) without "
-                               f"completing (redrive budget "
-                               f"{wd.max_redrives})")
-                    else:
-                        watchdog_counts["redrives"] += 1
-                        submit(j)
-
-            timeout = wd.cell_timeout_s if wd.enabled else None
-            try:
-                for i in misses:
-                    submit(i)
-                pos = 0
-                while pos < len(misses):  # submit order = cell order
-                    i = misses[pos]
-                    if i in ready:
-                        absorb(ready.pop(i))
-                        pos += 1
-                        continue
-                    try:
-                        result = outstanding[i].result(timeout=timeout)
-                    except FuturesTimeoutError:
-                        recover(f"hung worker: no result for cell "
-                                f"{pos + 1}/{len(misses)} within "
-                                f"{wd.cell_timeout_s:g}s")
-                        continue
-                    except BrokenProcessPool:
-                        if not wd.enabled:
-                            raise
-                        recover("worker lost (killed or crashed)")
-                        continue
-                    del outstanding[i]
-                    absorb(result)
-                    pos += 1
-            except KeyboardInterrupt:
-                # Drain before the journal closes: cancel whatever never
-                # started, wait out the in-flight workers, and absorb
-                # (and journal) their results so close_run('interrupted')
-                # counts them as completed.
-                for j, future in list(outstanding.items()):
-                    if future.cancel():
-                        del outstanding[j]
-                for j in sorted(set(outstanding) | set(ready)):
-                    with contextlib.suppress(Exception):
-                        absorb(ready.pop(j) if j in ready
-                               else outstanding[j].result())
-                raise
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-
-        if self.mode == "process" and health is None and workers > 1:
-            drive = drive_process
+        watchdog = {"respawns": 0, "redrives": 0}
+        if self.mode == "process" and pipeline.health is None and workers > 1:
+            drive = partial(self._drive_process, pipeline, misses, workers,
+                            watchdog)
         elif workers > 1:
-            drive = drive_threads
+            drive = partial(self._drive_threads, pipeline, misses, workers)
         else:
-            drive = drive_serial
-        self._execute_all(drive, journal, run_id, measurements, len(cells))
+            drive = partial(self._drive_serial, pipeline, misses)
+        self._execute_all(drive, pipeline, run_id)
 
-        if profiler is not None:
+        if opts.profiler is not None:
             # Deterministic replay: cell order, original durations — the
             # resulting timeline equals the serial run's byte for byte.
-            for cell_prof in traces:
+            for cell_prof in pipeline.traces:
                 if cell_prof is None:
                     continue
                 for ev in cell_prof.events:
-                    profiler.record(ev.kind, ev.name, ev.duration_s,
-                                    **ev.metadata)
+                    opts.profiler.record(ev.kind, ev.name, ev.duration_s,
+                                         **ev.metadata)
 
-        if journal is not None and not journal.finalized:
-            journal.close_run("complete", completed=len(cells),
-                              total=len(cells))
-        results = ResultSet(experiment)
-        for m in measurements:
-            assert m is not None
-            results.add(m)
+        pipeline.close("complete")
+        results = pipeline.results()
         self.last_report = SweepReport(
             experiment_id=experiment.exp_id,
-            cells=[r for r in records if r is not None],
+            cells=[r for r in pipeline.records if r is not None],
             cache_stats=(self.cache.stats.snapshot()
                          if self.cache is not None else {}),
             parallel=workers > 1,
             workers=workers,
             engine=self.mode,
-            wall_s=time.perf_counter() - run_start,
+            wall_s=time.perf_counter() - pipeline.t0,
             run_id=run_id,
-            transitions=(list(health.transitions) if health is not None
-                         else []),
-            respawns=watchdog_counts["respawns"],
-            redrives=watchdog_counts["redrives"],
+            transitions=(list(pipeline.health.transitions)
+                         if pipeline.health is not None else []),
+            respawns=watchdog["respawns"],
+            redrives=watchdog["redrives"],
         )
         return results
 
-    def _execute_all(self, drive, journal, run_id: str,
-                     measurements: List[Optional[Measurement]],
-                     total: int) -> None:
+    # -- drivers ------------------------------------------------------------
+
+    @staticmethod
+    def _drive_serial(pipeline: CellPipeline, misses: List[int]) -> None:
+        for i in misses:
+            pipeline.replay(i) or pipeline.execute(i)
+
+    @staticmethod
+    def _drive_threads(pipeline: CellPipeline, misses: List[int],
+                       workers: int) -> None:
+        # The pool overlaps each cell's cache put (disk I/O, GIL released)
+        # with the next cell's simulation.
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            futures = [pool.submit(pipeline.execute, i) for i in misses]
+            for future in futures:
+                future.result()
+        finally:
+            # In-flight cells finish (and journal themselves);
+            # never-started ones are cancelled.
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _drive_process(self, pipeline: CellPipeline, misses: List[int],
+                       workers: int, counts: Dict[str, int]) -> None:
+        # Supervised fan-out: the parent is the watchdog.  It waits on
+        # the *oldest* outstanding cell (submit order = cell order, so
+        # that wait doubles as the deterministic merge); a worker that
+        # vanishes (SIGKILL, segfault — surfaced as BrokenProcessPool on
+        # every pending future at once) or hangs past the policy deadline
+        # gets the whole pool killed and rebuilt, finished results
+        # harvested, and unfinished cells resubmitted.  A cell that
+        # exhausts its redrive budget fails through the normal
+        # degraded-cell path, so the journal record stream stays
+        # deterministic either way.  ``counts`` collects the respawns
+        # and redrives for the report.
+        opts = pipeline.opts
+        experiment = pipeline.experiment
+        wd = opts.watchdog
+        payload = RunPayload(
+            experiment=experiment.to_dict(), faults=opts.faults,
+            retry=opts.retry, fail_fast=opts.fail_fast,
+            traced=pipeline.traced,
+            cache_root=(self.cache.root if self.cache is not None
+                        else None))
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=self._mp_context())
+        outstanding: Dict[int, object] = {}  # index -> future
+        ready: Dict[int, dict] = {}          # index -> result dict
+        drives: Dict[int, int] = {}          # index -> submissions
+        starts: Dict[int, float] = {}        # index -> first submit offset
+
+        def absorb(result: dict) -> None:
+            i = result["index"]
+            pipeline.absorb(result, start_s=starts.get(i, 0.0))
+
+        def submit(i: int) -> None:
+            model, shape = pipeline.cells[i]
+            starts.setdefault(i, time.perf_counter() - pipeline.t0)
+            drives[i] = drives.get(i, 0) + 1
+            task = CellTask(index=i, model=model.name,
+                            shape=(shape.m, shape.n, shape.k),
+                            fingerprint=pipeline.fingerprints[i])
+            outstanding[i] = pool.submit(execute_cell_payload, payload, task)
+
+        def harvest() -> None:
+            # Results that landed before the pool broke are still good;
+            # keeping them means recovery never re-runs a finished cell.
+            for j, future in list(outstanding.items()):
+                if not future.done() or future.cancelled():
+                    continue
+                try:
+                    ready[j] = future.result(timeout=0)
+                except Exception:
+                    continue
+                del outstanding[j]
+
+        def lost_result(i: int, why: str) -> dict:
+            # Synthetic worker result for a cell the watchdog gave up on;
+            # flows through absorb() like any real failure.
+            model, shape = pipeline.cells[i]
+            cell = f"{model.name}@{shape}"
+            attempts = drives.get(i, 1)
+            if opts.fail_fast:
+                return {"index": i,
+                        "error": {"type": "WorkerLost",
+                                  "message": f"cell {cell}: {why}",
+                                  "cell": cell, "attempts": attempts,
+                                  "reason": why}}
+            m = failed_measurement(model, shape, experiment, why)
+            return {"index": i, "error": None,
+                    "measurement": measurement_to_dict(m),
+                    "attempts": attempts, "faults": 0, "wall_s": 0.0,
+                    "stored": False, "events": None}
+
+        def recover(why: str) -> None:
+            nonlocal pool
+            counts["respawns"] += 1
+            harvest()
+            # kill(), not terminate(): a hung worker may be blocked in
+            # native code where SIGTERM never gets a look-in.
+            for proc in list(dict(getattr(pool, "_processes", None)
+                                  or {}).values()):
+                with contextlib.suppress(Exception):
+                    proc.kill()
+            pool.shutdown(wait=False, cancel_futures=True)
+            if counts["respawns"] > wd.max_respawns:
+                print(f"repro: watchdog: {why}; respawn budget "
+                      f"({wd.max_respawns}) exhausted, failing "
+                      f"{len(outstanding)} unfinished cell(s)",
+                      file=sys.stderr)
+                for j in sorted(outstanding):
+                    ready[j] = lost_result(
+                        j, f"{why}; worker-pool respawn budget "
+                           f"({wd.max_respawns}) exhausted")
+                outstanding.clear()
+                return
+            print(f"repro: watchdog: {why}; respawning worker pool "
+                  f"({counts['respawns']}/{wd.max_respawns})",
+                  file=sys.stderr)
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=self._mp_context())
+            resubmit = sorted(outstanding)
+            outstanding.clear()
+            for j in resubmit:
+                if drives.get(j, 0) > wd.max_redrives:
+                    ready[j] = lost_result(
+                        j, f"{why}; cell re-driven {drives[j] - 1} "
+                           f"time(s) without completing (redrive budget "
+                           f"{wd.max_redrives})")
+                else:
+                    counts["redrives"] += 1
+                    submit(j)
+
+        timeout = wd.cell_timeout_s if wd.enabled else None
+        try:
+            for i in misses:
+                submit(i)
+            pos = 0
+            while pos < len(misses):  # submit order = cell order
+                i = misses[pos]
+                if i in ready:
+                    absorb(ready.pop(i))
+                    pos += 1
+                    continue
+                try:
+                    result = outstanding[i].result(timeout=timeout)
+                except FuturesTimeoutError:
+                    recover(f"hung worker: no result for cell "
+                            f"{pos + 1}/{len(misses)} within "
+                            f"{wd.cell_timeout_s:g}s")
+                    continue
+                except BrokenProcessPool:
+                    if not wd.enabled:
+                        raise
+                    recover("worker lost (killed or crashed)")
+                    continue
+                del outstanding[i]
+                absorb(result)
+                pos += 1
+        except KeyboardInterrupt:
+            # Drain before the journal closes: cancel whatever never
+            # started, wait out the in-flight workers, and absorb (and
+            # journal) their results so close_run('interrupted') counts
+            # them as completed.
+            for j, future in list(outstanding.items()):
+                if future.cancel():
+                    del outstanding[j]
+            for j in sorted(set(outstanding) | set(ready)):
+                with contextlib.suppress(Exception):
+                    absorb(ready.pop(j) if j in ready
+                           else outstanding[j].result())
+            raise
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _execute_all(self, drive, pipeline: CellPipeline,
+                     run_id: str) -> None:
         """Drive the cell fan-out, finalizing the journal on interrupt.
 
-        ``drive`` is one of the serial/thread-pool/process-pool loops
-        built in :meth:`run`.  With a journal active, SIGINT/SIGTERM are
+        ``drive`` is one of the serial/thread-pool/process-pool drivers
+        bound in :meth:`run`.  With a journal active, SIGINT/SIGTERM are
         routed into ``KeyboardInterrupt`` (see
         :func:`~repro.harness.journal.graceful_shutdown`); in-flight
         cells are allowed to finish and journal their results (the
@@ -852,92 +561,20 @@ class SweepEngine:
         """
         from ..journal.signals import graceful_shutdown
 
-        guard = (graceful_shutdown() if journal is not None
+        total = len(pipeline.cells)
+        guard = (graceful_shutdown() if pipeline.journal is not None
                  else contextlib.nullcontext())
         try:
             with guard:
                 drive()
         except KeyboardInterrupt:
-            done = sum(1 for m in measurements if m is not None)
-            if journal is not None and not journal.finalized:
-                journal.close_run("interrupted", completed=done, total=total)
+            done = pipeline.done
+            pipeline.close("interrupted")
             raise RunInterrupted(
                 f"sweep interrupted after {done}/{total} cells"
                 + (f"; resume with: repro run --resume {run_id}"
                    if run_id else ""),
                 run_id=run_id, completed=done, total=total) from None
         except CellFailure:
-            if journal is not None and not journal.finalized:
-                done = sum(1 for m in measurements if m is not None)
-                journal.close_run("failed", completed=done, total=total)
+            pipeline.close("failed")
             raise
-
-    # -- the retry loop ---------------------------------------------------
-
-    def _attempt_cell(self, model: ProgrammingModel, shape: MatrixShape,
-                      experiment: Experiment, opts: RunOptions,
-                      injector: Optional[FaultInjector],
-                      cell_prof: Optional[Profiler], *,
-                      lane: str = "",
-                      ) -> Tuple[Measurement, int, int, float]:
-        """Run one cell under the retry policy.
-
-        Thin wrapper over :func:`~repro.harness.engine.worker.attempt_cell`
-        — the same loop the process-pool workers run, so the two engines
-        cannot drift.  See that function for the full contract.
-        """
-        return attempt_cell(model, shape, experiment, opts, injector,
-                            cell_prof, lane=lane)
-
-    # -- fallback routing --------------------------------------------------
-
-    def _serve_via_ladder(self, model: ProgrammingModel, shape: MatrixShape,
-                          experiment: Experiment, opts: RunOptions,
-                          injector: Optional[FaultInjector],
-                          cell_prof: Optional[Profiler],
-                          health: HealthRegistry, origin: str,
-                          ) -> Tuple[Optional[Measurement], float, int]:
-        """Serve one cell of an OPEN lane via its fallback ladder.
-
-        Walks the declared hops in order, skipping hops that resolve back
-        to the origin or to a lane the registry currently tracks as OPEN.
-        Hop attempts run under the same retry policy but on a *disjoint*
-        fault stream (keyed by the serving lane) and never feed the
-        serving lane's own health — serving is borrowing, not probing.
-
-        Returns ``(measurement, serve_cost_s, hops_tried)``; the
-        measurement is ``None`` when the ladder is exhausted, and
-        otherwise keeps the origin cell's model/display with full
-        substitution provenance so Table III can price it honestly.
-        """
-        serve_cost = 0.0
-        tried = 0
-        cell = f"{model.name}@{shape}"
-        for hop in health.ladder.hops_for(origin):
-            serve_model, serve_device = resolve_hop(hop, experiment)
-            hop_spec = f"{serve_model.name}@{serve_device.value}"
-            if hop_spec == origin or health.is_open(hop_spec):
-                continue
-            serve_exp = (experiment if serve_device is experiment.device
-                         else replace(experiment, device=serve_device))
-            tried += 1
-            sm, _, _, s_spent = self._attempt_cell(
-                serve_model, shape, serve_exp, opts, injector, cell_prof,
-                lane=hop_spec)
-            serve_cost += s_spent
-            if sm.failed or not sm.supported:
-                continue
-            serve_cost += sum(sm.times_s)
-            if cell_prof is not None:
-                cell_prof.record(EventKind.SUBSTITUTION,
-                                 f"{origin}->{hop_spec}:{cell}", serve_cost,
-                                 hops=tried)
-            return (Measurement(
-                model=model.name, display=model.display, shape=shape,
-                precision=experiment.precision, times_s=sm.times_s,
-                warmup_count=sm.warmup_count, supported=True,
-                note=f"served by {hop_spec}; lane {origin} open",
-                bound=sm.bound, substituted_from=origin, served_by=hop_spec,
-                ladder_hops=tried), serve_cost, tried)
-        return None, serve_cost, tried
-

@@ -35,18 +35,18 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
 from ..chaos.plan import chaos_strike
 from ..errors import JournalError, OverloadError, ServiceError
 from ..harness.engine.cache import ResultCache
-from ..harness.engine.fingerprint import campaign_fingerprint, cell_fingerprint
+from ..harness.engine.cell import CellPipeline
 from ..harness.engine.options import RunOptions
 from ..harness.experiment import Experiment
-from ..harness.health import BreakerPolicy, FallbackLadder, LaneHealth
+from ..harness.health import BreakerPolicy, LaneHealth
 from ..harness.journal import RunRegistry
 from ..harness.results import ResultSet
-from ..models.registry import model_by_name
 from .campaign import Campaign, CampaignExecution
 from .scheduler import AdmissionPolicy, FairShareScheduler, OverloadPolicy
 from .spec import CampaignSpec, spec_from_dict, spec_to_dict
@@ -239,30 +239,11 @@ class CampaignService:
             return self.overload.retry_after_s(self.scheduler.backlog)
 
     def _open_journal(self, journal, spec: CampaignSpec) -> None:
-        # The run-open record must be byte-compatible with what a
-        # dedicated engine run would write: resume and fsck read it with
-        # the same loaders either way.
-        experiment = spec.experiment
-        opts = spec.run_options(base=self._options)
-        cells = [(model_by_name(name), shape)
-                 for name in experiment.models
-                 for shape in experiment.shapes()]
-        fingerprints = [cell_fingerprint(experiment, model.name, shape,
-                                         faults=opts.faults)
-                        for model, shape in cells]
-        effective = opts.fallback
-        if opts.breaker.enabled and effective is None:
-            effective = FallbackLadder.default_for(experiment)
-        journal.open_run(
-            manifest=experiment.to_dict(),
-            campaign=campaign_fingerprint(
-                experiment, opts.faults, breaker=opts.breaker,
-                fallback=effective if opts.breaker.enabled else None),
-            options=opts.payload(),
-            cells=[{"index": i, "model": model.name, "shape": str(shape),
-                    "fingerprint": fingerprints[i]}
-                   for i, (model, shape) in enumerate(cells)],
-        )
+        # The run-open record is the one a dedicated engine run writes
+        # (same pipeline, same plan): resume and fsck read it with the
+        # same loaders either way.
+        opts = replace(spec.run_options(base=self._options), journal=journal)
+        CellPipeline(spec.experiment, opts).open_run()
 
     # -- recovery -----------------------------------------------------------
 

@@ -70,8 +70,8 @@ class CampaignSpec:
 
     ``None`` fields mean "inherit the process default" — the same
     tri-state convention :class:`~repro.harness.engine.RunOptions` uses
-    for cache/jobs — so a bare ``CampaignSpec(experiment=exp)`` behaves
-    exactly like the historical ``run_experiment(exp)`` call.
+    for cache/jobs — so ``run_campaign(CampaignSpec(experiment=exp))``
+    runs ``exp`` with every process default.
 
     * ``engine``/``jobs``/``cache`` — executor selection;
     * ``faults``/``retry``/``fail_fast``/``breaker``/``fallback`` — the

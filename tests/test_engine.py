@@ -15,7 +15,7 @@ from repro.core.types import DeviceKind, Precision
 from repro.errors import ConfigError, RetryExhaustedError
 from repro.harness import (
     Experiment,
-    run_experiment,
+    run_campaign,
 )
 from repro.harness.export import result_set_to_json
 from repro.harness.engine import (
@@ -27,6 +27,7 @@ from repro.harness.engine import (
     default_engine,
     reset_default_engine,
 )
+from repro.service import CampaignSpec
 from repro.sim.variability import VariabilityModel
 from repro.trace.events import EventKind
 from repro.trace.profiler import Profiler
@@ -75,8 +76,8 @@ class TestDeterminism:
         exp = small_exp()
         engine = SweepEngine(cache=None, parallel=True, max_workers=8)
         parallel = engine.run(exp)
-        serial = run_experiment(exp, engine="serial",
-                                options=RunOptions(cache=False))
+        serial = run_campaign(CampaignSpec(experiment=exp, engine="serial"),
+                              options=RunOptions(cache=False))
         assert parallel.measurements == serial.measurements
 
     def test_cold_and_warm_cache_bit_identical(self, cache):
@@ -112,8 +113,8 @@ class TestDeterminism:
     def test_traced_parallel_timeline_matches_serial(self):
         exp = small_exp(models=("numba", "julia"))
         serial_prof = Profiler()
-        run_experiment(exp, engine="serial",
-                       options=RunOptions(cache=False, profiler=serial_prof))
+        run_campaign(CampaignSpec(experiment=exp, engine="serial"),
+                     options=RunOptions(cache=False, profiler=serial_prof))
         engine_prof = Profiler()
         SweepEngine(cache=None, parallel=True, max_workers=4).run(
             exp, profiler=engine_prof)
@@ -326,16 +327,16 @@ class TestProcessEngine:
     def test_matches_serial_bit_for_bit(self):
         exp = small_exp()
         proc = self._engine().run(exp)
-        serial = run_experiment(exp, engine="serial",
-                                options=RunOptions(cache=False))
+        serial = run_campaign(CampaignSpec(experiment=exp, engine="serial"),
+                              options=RunOptions(cache=False))
         assert proc.measurements == serial.measurements
 
     def test_exported_json_identical_to_serial(self):
         exp = small_exp(models=("numba", "julia"))
         proc = result_set_to_json(self._engine().run(exp))
         serial = result_set_to_json(
-            run_experiment(exp, engine="serial",
-                           options=RunOptions(cache=False)))
+            run_campaign(CampaignSpec(experiment=exp, engine="serial"),
+                         options=RunOptions(cache=False)))
         assert proc == serial
 
     def test_byte_identical_under_faults_and_retries(self):
@@ -345,18 +346,18 @@ class TestProcessEngine:
                           retry=RetryPolicy(max_attempts=3))
         exp = small_exp()
         proc = result_set_to_json(self._engine().run(exp, options=opts))
-        serial = run_experiment(exp, engine="serial",
-                                options=RunOptions(
-                                    cache=False, faults=opts.faults,
-                                    retry=opts.retry))
+        serial = run_campaign(CampaignSpec(experiment=exp, engine="serial"),
+                              options=RunOptions(
+                                  cache=False, faults=opts.faults,
+                                  retry=opts.retry))
         assert proc == result_set_to_json(serial)
 
     def test_traced_timeline_matches_serial(self):
         exp = small_exp(models=("numba", "julia"))
         serial_prof = Profiler()
-        run_experiment(exp, engine="serial",
-                       options=RunOptions(cache=False,
-                                          profiler=serial_prof))
+        run_campaign(CampaignSpec(experiment=exp, engine="serial"),
+                     options=RunOptions(cache=False,
+                                        profiler=serial_prof))
         proc_prof = Profiler()
         self._engine().run(exp, profiler=proc_prof)
         assert proc_prof.events == serial_prof.events
@@ -373,7 +374,8 @@ class TestProcessEngine:
                               fail_fast=True)
 
         with pytest.raises(RetryExhaustedError) as serial_exc:
-            run_experiment(exp, engine="serial", options=opts())
+            run_campaign(CampaignSpec(experiment=exp, engine="serial"),
+                         options=opts())
         # the worker ships the failure as a structured dict; the parent
         # must re-raise the exact class with the exact message
         with pytest.raises(RetryExhaustedError) as proc_exc:
@@ -464,9 +466,9 @@ class TestEnvironmentConfig:
     def test_default_engine_is_process_wide(self, fresh_default_engine):
         assert default_engine() is fresh_default_engine
 
-    def test_run_experiment_uses_default_engine(self, fresh_default_engine):
+    def test_run_campaign_uses_default_engine(self, fresh_default_engine):
         exp = small_exp(models=("c-openmp",), sizes=(256,))
-        run_experiment(exp)
+        run_campaign(CampaignSpec(experiment=exp))
         assert fresh_default_engine.last_report is not None
         assert fresh_default_engine.last_report.experiment_id == "eng-cpu"
 

@@ -9,21 +9,16 @@ The contracts pinned here:
   sweep, unless ``fail_fast`` asks for the abort;
 * hygiene — failed cells never enter the result cache, and fault-enabled
   runs fingerprint their cells apart from clean runs;
-* the unified ``run_experiment`` entrypoint and its deprecation shim.
+* the unified ``run_campaign`` entrypoint and its engine selection.
 """
 
 import json
-import warnings
 
 import pytest
 
 from repro.core.types import DeviceKind, MatrixShape, Precision
 from repro.errors import CellFailure, ConfigError, RetryExhaustedError
-from repro.harness import (
-    Experiment,
-    run_experiment,
-    run_experiment_serial,
-)
+from repro.harness import Experiment, run_campaign
 from repro.harness.engine import (
     ResultCache,
     RetryPolicy,
@@ -39,6 +34,7 @@ from repro.harness.export import (
     result_set_to_json,
 )
 from repro.harness.report import render_result_set
+from repro.service import CampaignSpec
 from repro.sim.faults import (
     FAULT_COSTS,
     FaultConfig,
@@ -185,8 +181,8 @@ class TestFaultInjector:
 class TestEngineResilience:
     def test_recovered_run_byte_identical_to_fault_free(self):
         exp = small_exp()
-        clean = run_experiment(exp, options=run_opts())
-        noisy = run_experiment(exp, options=run_opts(
+        clean = run_campaign(CampaignSpec(experiment=exp), options=run_opts())
+        noisy = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(rate=0.4, seed=0),
             retry=RetryPolicy(max_attempts=8)))
         assert result_set_to_json(noisy) == result_set_to_json(clean)
@@ -208,7 +204,7 @@ class TestEngineResilience:
 
     def test_permanent_failure_degrades_not_raises(self):
         exp = small_exp()
-        rs = run_experiment(exp, options=run_opts(
+        rs = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(always=("julia@512",))))
         assert rs.degraded
         [bad] = rs.failed_cells()
@@ -222,7 +218,7 @@ class TestEngineResilience:
 
     def test_retry_exhaustion_fails_cell(self):
         exp = small_exp(models=("julia",), sizes=(256,))
-        rs = run_experiment(exp, options=run_opts(
+        rs = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(rate=0.999999, seed=1),
             retry=RetryPolicy(max_attempts=3)))
         [bad] = rs.failed_cells()
@@ -232,7 +228,7 @@ class TestEngineResilience:
         exp = small_exp(models=("julia",), sizes=(256,))
         # every attempt times out (30 s simulated) against a 10 s budget:
         # the first fault alone exceeds it
-        rs = run_experiment(exp, options=run_opts(
+        rs = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(rate=0.999999, seed=1,
                                kinds=(FaultKind.TIMEOUT,)),
             retry=RetryPolicy(max_attempts=100, max_cell_seconds=10.0)))
@@ -242,13 +238,13 @@ class TestEngineResilience:
     def test_fail_fast_raises_cell_failure(self):
         exp = small_exp()
         with pytest.raises(CellFailure):
-            run_experiment(exp, options=run_opts(
+            run_campaign(CampaignSpec(experiment=exp), options=run_opts(
                 faults=FaultConfig(always=("julia@512",)), fail_fast=True))
 
     def test_fail_fast_retry_exhaustion_raises_sharper_error(self):
         exp = small_exp(models=("julia",), sizes=(256,))
         with pytest.raises(RetryExhaustedError):
-            run_experiment(exp, options=run_opts(
+            run_campaign(CampaignSpec(experiment=exp), options=run_opts(
                 faults=FaultConfig(rate=0.999999, seed=1),
                 retry=RetryPolicy(max_attempts=2), fail_fast=True))
 
@@ -283,8 +279,8 @@ class TestEngineResilience:
         # the fault streams are disjoint from the variability streams, so
         # a cell that recovers produces the exact fault-free samples
         exp = small_exp(models=("julia",), sizes=(256,))
-        clean = run_experiment(exp, options=run_opts())
-        noisy = run_experiment(exp, options=run_opts(
+        clean = run_campaign(CampaignSpec(experiment=exp), options=run_opts())
+        noisy = run_campaign(CampaignSpec(experiment=exp), options=run_opts(
             faults=FaultConfig(rate=0.4, seed=0),
             retry=RetryPolicy(max_attempts=50)))
         assert (clean.cell("julia", 256).times_s
@@ -297,8 +293,9 @@ class TestEngineResilience:
 
 class TestDegradedMode:
     def failed_rs(self):
-        return run_experiment(small_exp(), options=run_opts(
-            faults=FaultConfig(always=("julia@512",))))
+        return run_campaign(CampaignSpec(experiment=small_exp()),
+                            options=run_opts(
+                                faults=FaultConfig(always=("julia@512",))))
 
     def test_render_marks_failed_cells(self):
         out = render_result_set(self.failed_rs())
@@ -313,8 +310,9 @@ class TestDegradedMode:
 
     def test_all_failed_model_gets_zero_not_dash(self):
         from repro.core.efficiency import efficiency_table_for
-        rs = run_experiment(small_exp(), options=run_opts(
-            faults=FaultConfig(always=("julia",))))
+        rs = run_campaign(CampaignSpec(experiment=small_exp()),
+                          options=run_opts(
+                              faults=FaultConfig(always=("julia",))))
         [julia] = [c for c in efficiency_table_for(rs, ["julia"], "Epyc 7A53")]
         assert julia.value == 0.0
         assert julia.render() == "0.000"
@@ -330,7 +328,8 @@ class TestDegradedMode:
             == [m.status for m in rs.measurements]
 
     def test_v2_documents_still_load(self):
-        rs = run_experiment(small_exp(), options=run_opts())
+        rs = run_campaign(CampaignSpec(experiment=small_exp()),
+                          options=run_opts())
         doc = result_set_to_dict(rs)
         doc["schema"] = 2
         doc.pop("degraded")
@@ -353,9 +352,10 @@ class TestDegradedMode:
         from repro.trace.profiler import Profiler
         exp = small_exp(models=("julia",), sizes=(256,))
         prof = Profiler()
-        run_experiment(exp, profiler=prof, options=run_opts(
-            faults=FaultConfig(rate=0.4, seed=0),
-            retry=RetryPolicy(max_attempts=50)))
+        run_campaign(CampaignSpec(experiment=exp), profiler=prof,
+                     options=run_opts(
+                         faults=FaultConfig(rate=0.4, seed=0),
+                         retry=RetryPolicy(max_attempts=50)))
         kinds = {e.kind for e in prof.events}
         assert EventKind.FAULT in kinds and EventKind.RETRY in kinds
         # fault spans carry their simulated cost
@@ -395,34 +395,27 @@ class TestTimeline:
 
 
 # --------------------------------------------------------------------------
-# the unified entrypoint, RunOptions, and the shim
+# the unified entrypoint and RunOptions
 # --------------------------------------------------------------------------
 
 class TestUnifiedApi:
     def test_engine_strings(self):
         exp = small_exp()
-        a = run_experiment(exp, engine="serial", options=run_opts())
-        b = run_experiment(exp, engine="parallel", options=run_opts())
+        a = run_campaign(CampaignSpec(experiment=exp, engine="serial"),
+                         options=run_opts())
+        b = run_campaign(CampaignSpec(experiment=exp), options=run_opts())
         assert a.measurements == b.measurements
 
     def test_engine_instance_accepted(self):
         engine = SweepEngine(cache=None, parallel=False)
-        rs = run_experiment(small_exp(), engine=engine)
+        rs = run_campaign(CampaignSpec(experiment=small_exp()), engine=engine)
         assert engine.last_report is not None
         assert len(rs.measurements) == 4
 
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigError, match="engine"):
-            run_experiment(small_exp(), engine="hyperspeed")
-
-    def test_serial_shim_warns_and_matches(self):
-        exp = small_exp()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rs = run_experiment_serial(exp)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert rs.measurements \
-            == run_experiment(exp, options=run_opts()).measurements
+            run_campaign(CampaignSpec(experiment=small_exp()),
+                         engine="hyperspeed")
 
     def test_options_are_frozen(self):
         opts = RunOptions()
@@ -487,15 +480,15 @@ class TestUnifiedApi:
         finally:
             reset_default_run_options()
 
-    def test_run_experiment_inherits_env_options(self, monkeypatch,
-                                                 tmp_path):
+    def test_run_campaign_inherits_env_options(self, monkeypatch,
+                                               tmp_path):
         from repro.harness.engine import reset_default_engine
         monkeypatch.setenv("REPRO_CACHE", "off")
         monkeypatch.setenv("REPRO_FAULTS", "always=julia@512")
         reset_default_engine()
         reset_default_run_options()
         try:
-            rs = run_experiment(small_exp())
+            rs = run_campaign(CampaignSpec(experiment=small_exp()))
             assert rs.degraded
         finally:
             reset_default_engine()

@@ -36,7 +36,8 @@ from repro.harness.health import (
     resolve_hop,
 )
 from repro.harness.report import render_result_set
-from repro.harness.runner import run_experiment
+from repro.harness.runner import run_campaign
+from repro.service import CampaignSpec
 from repro.sim.faults import FaultConfig
 
 
@@ -287,8 +288,8 @@ class TestHealthRegistry:
 class TestEngineSubstitution:
     def healed_run(self, **kw):
         engine = serial_engine()
-        rs = run_experiment(gpu_exp(), engine=engine,
-                            options=breaker_opts(**kw))
+        rs = run_campaign(CampaignSpec(experiment=gpu_exp()), engine=engine,
+                          options=breaker_opts(**kw))
         return rs, engine.last_report
 
     def test_open_lane_is_served_with_provenance(self):
@@ -383,8 +384,8 @@ class TestEngineSubstitution:
 class TestSubstitutionPricing:
     def test_efficiency_series_prices_serves_honestly(self):
         engine = serial_engine()
-        rs = run_experiment(gpu_exp(), engine=engine,
-                            options=breaker_opts())
+        rs = run_campaign(CampaignSpec(experiment=gpu_exp()), engine=engine,
+                          options=breaker_opts())
         es = rs.efficiency_series("numba", "cuda")
         by_size = dict(zip(rs.sizes(), es))
         assert by_size[256] == 0.0          # failed: e = 0
@@ -395,8 +396,8 @@ class TestSubstitutionPricing:
         # The served ratio is the substituted measurement's own gflops
         # over the reference's — never the open lane's imagined native
         # number.
-        rs = run_experiment(gpu_exp(), engine=serial_engine(),
-                            options=breaker_opts())
+        rs = run_campaign(CampaignSpec(experiment=gpu_exp()),
+                          engine=serial_engine(), options=breaker_opts())
         m1024 = rs.cell("numba", 1024)
         ref = rs.cell("cuda", 1024)
         e = dict(zip(rs.sizes(),
@@ -420,8 +421,9 @@ class TestDisabledBreakersAreInert:
             exp, faults, breaker=BreakerPolicy(), fallback=None)
 
     def test_export_has_no_provenance_keys(self):
-        rs = run_experiment(cpu_exp(), engine=serial_engine(),
-                            options=RunOptions(cache=False))
+        rs = run_campaign(CampaignSpec(experiment=cpu_exp()),
+                          engine=serial_engine(),
+                          options=RunOptions(cache=False))
         doc = result_set_to_dict(rs)
         assert doc["substituted"] is False
         for mdata in doc["measurements"]:
@@ -430,12 +432,14 @@ class TestDisabledBreakersAreInert:
 
     def test_runs_identical_with_and_without_health_fields(self):
         exp = cpu_exp()
-        plain = run_experiment(exp, engine=serial_engine(),
-                               options=RunOptions(cache=False))
-        explicit = run_experiment(
-            exp, engine=serial_engine(),
-            options=RunOptions(cache=False, breaker=BreakerPolicy(),
-                               fallback=None))
+        plain = run_campaign(CampaignSpec(experiment=exp),
+                             engine=serial_engine(),
+                             options=RunOptions(cache=False))
+        explicit = run_campaign(CampaignSpec(experiment=exp),
+                                engine=serial_engine(),
+                                options=RunOptions(cache=False,
+                                                   breaker=BreakerPolicy(),
+                                                   fallback=None))
         assert result_set_to_json(plain) == result_set_to_json(explicit)
 
 

@@ -24,10 +24,10 @@ from repro.harness.engine import ResultCache, SweepEngine, cell_fingerprint
 from repro.harness.experiment import Experiment
 from repro.harness.export import result_set_from_json, result_set_to_json
 from repro.harness.health import BreakerPolicy, FallbackLadder
-from repro.harness.engine.options import RetryPolicy
+from repro.harness.engine.options import RetryPolicy, RunOptions
 from repro.harness.journal import RunRegistry, fsck_store
 from repro.harness.report import render_result_set
-from repro.harness.runner import run_campaign, run_experiment
+from repro.harness.runner import run_campaign
 from repro.service import (
     AdmissionPolicy,
     CampaignDaemon,
@@ -709,18 +709,71 @@ class TestActiveState:
 
 
 # --------------------------------------------------------------------------
-# deprecated shims
+# one cell path: the service steps cells exactly as a dedicated run does
+# --------------------------------------------------------------------------
+
+def _plain_cell_spec():
+    # A permanent fault on one cell exercises the failed-cell records.
+    return CampaignSpec(
+        experiment=small_exp(exp_id="cell-plain"),
+        faults=FaultConfig(rate=0.0, always=("julia@256",)))
+
+
+def _breaker_cell_spec():
+    # The `make breaker` scenario: numba fails twice, its lane opens and
+    # the ladder serves the rest.
+    return CampaignSpec(
+        experiment=Experiment(
+            exp_id="cell-breaker", title="service test", node_name="Wombat",
+            device=DeviceKind.GPU, precision=Precision.FP64,
+            models=("cuda", "numba"), sizes=(256, 512, 1024), reps=5),
+        cache=False,
+        faults=FaultConfig.parse("always=numba@256+numba@512"),
+        breaker=BreakerPolicy.parse("threshold=2,cooldown=1e5"))
+
+
+class TestServiceCellPath:
+    """A campaign stepped by the service and the same spec run alone
+    through ``run_campaign`` must render the same report and journal the
+    same record stream (the service's own campaign-state records aside)."""
+
+    @pytest.mark.parametrize("make_spec,stats", [
+        (_plain_cell_spec, {"executed": 4, "failed": 1, "substituted": 0}),
+        (_breaker_cell_spec, {"executed": 6, "failed": 1, "substituted": 2}),
+    ], ids=["plain", "breaker"])
+    def test_service_matches_dedicated_run(self, store, tmp_path, make_spec,
+                                           stats):
+        from tests.test_journal import journal_record_stream
+
+        registry, cache = store
+        spec = make_spec()
+        svc = CampaignService(registry=registry, cache=cache)
+        cid = svc.submit(spec)
+        svc.run_until_idle()
+        campaign = svc.campaigns[cid]
+        assert campaign.state == "done"
+        assert {k: campaign.stats[k] for k in stats} == stats
+
+        solo_journal = registry.create()
+        solo = run_campaign(
+            spec, engine=SweepEngine(cache=ResultCache(str(tmp_path / "solo")),
+                                     parallel=False),
+            options=RunOptions(journal=solo_journal))
+        solo_journal.close()
+
+        assert (render_result_set(svc.result_set(cid))
+                == render_result_set(solo))
+        service_stream = [rec for rec in journal_record_stream(registry, cid)
+                          if rec[0] != "campaign"]
+        assert service_stream == journal_record_stream(
+            registry, solo_journal.run_id)
+
+
+# --------------------------------------------------------------------------
+# the top-level entrypoint
 # --------------------------------------------------------------------------
 
 class TestShims:
-    def test_run_experiment_warns_and_matches_run_campaign(self):
-        exp = small_exp(exp_id="shim")
-        engine = SweepEngine(cache=None, parallel=False)
-        with pytest.deprecated_call():
-            old = run_experiment(exp, engine=engine)
-        new = run_campaign(CampaignSpec(experiment=exp), engine=engine)
-        assert render_result_set(old) == render_result_set(new)
-
     def test_top_level_export(self):
         assert repro.run_campaign is run_campaign
 
