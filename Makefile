@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint audit bench bench-audit bench-engine bench-paper bench-service chaos-smoke engine-smoke loc service-smoke report report-cached faults breaker resume fsck verify examples clean
+.PHONY: install test lint audit bench bench-audit bench-engine bench-paper bench-service chaos-smoke engine-smoke imports loc service-smoke report report-cached faults breaker resume fsck verify examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -14,6 +14,12 @@ test:
 # benches so a change that deletes a code path shows up as a number.
 loc:
 	@echo "src/**/*.py: $$(find src -name '*.py' -exec cat {} + | wc -l) lines"
+
+# Import budget: the repro modules (and whether NumPy) loaded by
+# `import repro.cli`, `repro --help` and a warm `repro report --full`,
+# each in a fresh interpreter — an exact count on any machine.
+imports:
+	$(PYTHON) benchmarks/import_budget.py
 
 # Style lint (ruff) + type check (mypy) — each skipped when not
 # installed — plus the kernel IR linter.

@@ -18,66 +18,8 @@ See README.md for the architecture overview and DESIGN.md for the full
 system inventory.
 """
 
+from ._lazy import lazy_exports
 from ._version import __version__
-from .config import RunConfig
-from .core.metrics import metric_comparison, phi_marowka, phi_paper, pp_pennycook
-from .core.types import DeviceKind, Layout, MatrixShape, Precision
-from .errors import (
-    CellFailure,
-    ConfigError,
-    ExperimentError,
-    FaultError,
-    IRVerificationError,
-    JournalError,
-    KernelValidationError,
-    LintError,
-    LoweringError,
-    MachineModelError,
-    ReproError,
-    RetryExhaustedError,
-    RunInterrupted,
-    UnsupportedConfigurationError,
-)
-from .harness import (
-    Experiment,
-    FigureResult,
-    Measurement,
-    PAPER_SIZES,
-    QUICK_SIZES,
-    ResultSet,
-    RetryPolicy,
-    RunOptions,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    run_campaign,
-    table1,
-    table2,
-    table3,
-)
-from .machine import (
-    A100,
-    AMPERE_ALTRA,
-    CRUSHER,
-    CPUSpec,
-    EPYC_7A53,
-    GPUSpec,
-    MI250X,
-    Node,
-    WOMBAT,
-    cpu_by_name,
-    gpu_by_name,
-    node_by_name,
-)
-from .models import (
-    ProgrammingModel,
-    all_models,
-    model_by_name,
-    portable_models,
-    reference_model_for,
-)
-from .service import CampaignSpec
 
 __all__ = [
     "__version__",
@@ -139,3 +81,27 @@ __all__ = [
     "reference_model_for",
     "CampaignSpec",
 ]
+
+# Exports load on first use, so ``import repro`` costs only this file:
+# a command imports just the modules it runs.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("RunConfig",),
+    ".core.metrics": ("metric_comparison", "phi_marowka", "phi_paper",
+                      "pp_pennycook"),
+    ".core.types": ("DeviceKind", "Layout", "MatrixShape", "Precision"),
+    ".errors": ("ReproError", "CellFailure", "ConfigError", "ExperimentError",
+                "FaultError", "IRVerificationError", "JournalError",
+                "KernelValidationError", "LintError", "LoweringError",
+                "MachineModelError", "RetryExhaustedError", "RunInterrupted",
+                "UnsupportedConfigurationError"),
+    ".harness": ("Experiment", "FigureResult", "Measurement", "RetryPolicy",
+                 "RunOptions", "PAPER_SIZES", "QUICK_SIZES", "ResultSet",
+                 "fig4", "fig5", "fig6", "fig7", "run_campaign", "table1",
+                 "table2", "table3"),
+    ".machine": ("A100", "AMPERE_ALTRA", "CRUSHER", "CPUSpec", "EPYC_7A53",
+                 "GPUSpec", "MI250X", "Node", "WOMBAT", "cpu_by_name",
+                 "gpu_by_name", "node_by_name"),
+    ".models": ("ProgrammingModel", "all_models", "model_by_name",
+                "portable_models", "reference_model_for"),
+    ".service": ("CampaignSpec",),
+})

@@ -1,8 +1,6 @@
 """Array substrate: layouts, input generation, simulated device arrays."""
 
-from .device import DeviceArray, DeviceContext, TransferRecord
-from .layout import alloc, is_layout, linear_index, strides_elements, touched_lines
-from .random import FillPolicy, fill_matrix, make_gemm_operands
+from .._lazy import lazy_exports
 
 __all__ = [
     "DeviceArray",
@@ -17,3 +15,10 @@ __all__ = [
     "fill_matrix",
     "make_gemm_operands",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".device": ("DeviceArray", "DeviceContext", "TransferRecord"),
+    ".layout": ("alloc", "is_layout", "linear_index", "strides_elements",
+                "touched_lines"),
+    ".random": ("FillPolicy", "fill_matrix", "make_gemm_operands"),
+})

@@ -10,12 +10,13 @@ real kernels can still validate numerics; what is simulated is the cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from ..errors import MachineModelError
 from ..machine.gpu import GPUSpec
+
+if TYPE_CHECKING:  # NumPy loads where an array is built, not on import
+    import numpy as np
 
 __all__ = ["TransferRecord", "DeviceContext", "DeviceArray"]
 
@@ -56,6 +57,8 @@ class DeviceContext:
         return arr
 
     def alloc(self, shape, dtype, order: str = "C") -> "DeviceArray":
+        import numpy as np
+
         data = np.zeros(shape, dtype=dtype, order=order)
         arr = DeviceArray(context=self, data=data)
         self.allocated_bytes += data.nbytes

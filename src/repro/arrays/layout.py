@@ -7,11 +7,12 @@ the simulated device arrays (to reason about coalescing).
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from ..core.types import Layout
+
+if TYPE_CHECKING:  # NumPy loads where an array is built, not on import
+    import numpy as np
 
 __all__ = [
     "strides_elements",
@@ -38,6 +39,8 @@ def linear_index(r: int, c: int, rows: int, cols: int, layout: Layout) -> int:
 def alloc(rows: int, cols: int, dtype: np.dtype, layout: Layout,
           fill: float = 0.0) -> np.ndarray:
     """Allocate a matrix with the given layout, filled with ``fill``."""
+    import numpy as np
+
     a = np.full((rows, cols), fill, dtype=dtype, order=layout.np_order)
     return a
 

@@ -16,12 +16,13 @@ exactly, a handy analytic check).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ..core.types import Layout, Precision
 from .layout import alloc
+
+if TYPE_CHECKING:  # NumPy loads where an array is built, not on import
+    import numpy as np
 
 __all__ = ["FillPolicy", "fill_matrix", "make_gemm_operands"]
 
@@ -46,6 +47,8 @@ class FillPolicy:
 def fill_matrix(rows: int, cols: int, precision: Precision, layout: Layout,
                 policy: FillPolicy = FillPolicy(), seed_offset: int = 0) -> np.ndarray:
     """Allocate and populate one input matrix."""
+    import numpy as np
+
     dtype = precision.np_dtype
     if policy.fill_kind(precision) == "ones":
         return alloc(rows, cols, dtype, layout, fill=1.0)

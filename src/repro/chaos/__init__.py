@@ -14,20 +14,12 @@ Two halves:
   baseline, and write MTTR/restart/degraded-mode counters to
   ``BENCH_robustness.json`` (``repro chaos`` / ``make chaos-smoke``).
 
-The harness is imported lazily (PEP 562) so arming/striking — which
-runs inside hot production paths and forked workers — never pays for
-the scenario machinery.
+Every export loads lazily (PEP 562), so arming/striking — which runs
+inside hot production paths and forked workers — never pays for the
+scenario machinery.
 """
 
-from .plan import (
-    CHAOS_ACTIONS,
-    CHAOS_PLAN_ENV,
-    CHAOS_POINTS,
-    ChaosEvent,
-    ChaosPlan,
-    chaos_armed,
-    chaos_strike,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CHAOS_ACTIONS",
@@ -42,19 +34,8 @@ __all__ = [
     "CHAOS_SCENARIOS",
 ]
 
-_LAZY = {
-    "ChaosScenarioResult": "harness",
-    "run_chaos_suite": "harness",
-    "CHAOS_SCENARIOS": "harness",
-}
-
-
-def __getattr__(name: str):
-    """Lazy re-exports of the scenario harness (PEP 562)."""
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    value = getattr(import_module(f".{target}", __name__), name)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".plan": ("CHAOS_ACTIONS", "CHAOS_PLAN_ENV", "CHAOS_POINTS", "ChaosEvent",
+              "ChaosPlan", "chaos_armed", "chaos_strike"),
+    ".harness": ("ChaosScenarioResult", "run_chaos_suite", "CHAOS_SCENARIOS"),
+})

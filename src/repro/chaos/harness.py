@@ -452,7 +452,6 @@ def scenario_overload(workdir: str) -> ChaosScenarioResult:
 
     first = subprocess.Popen(serve_args, env=_clean_env(workdir, plan_path),
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    expired_id = ""
     try:
         if not _wait_until(ping_ok):
             raise ConfigError("overload daemon never served")
@@ -470,6 +469,22 @@ def scenario_overload(workdir: str) -> ChaosScenarioResult:
             first.wait(timeout=30)
     killed_by_sigkill = first.returncode == -9
 
+    # A 12-cell campaign under a 50 ms deadline, made durable while no
+    # daemon runs; the restart waits out the budget on the wall clock,
+    # so its recover() finds the deadline already lapsed and the first
+    # grant must expire the campaign — never ``done``, however fast the
+    # cells would have run.
+    expired_spec = dataclasses.replace(
+        _chaos_spec("chaos-ovl-deadline", ("julia", "numba", "kokkos"),
+                    (256, 512, 1024, 2048), reps=2),
+        submission_key="storm-deadline", deadline_s=0.05)
+    queue = CampaignService(registry=RunRegistry(runs_dir),
+                            cache=ResultCache(cache_dir))
+    expired_id = queue.submit(expired_spec)
+    queue.suspend()
+    submitted = time.time()  # the journal's birth is no later than this
+    time.sleep(max(0.0, submitted + expired_spec.deadline_s - time.time()))
+
     t_restart = time.monotonic()
     second = subprocess.Popen(serve_args, env=_clean_env(workdir),
                               stdout=subprocess.PIPE,
@@ -477,14 +492,6 @@ def scenario_overload(workdir: str) -> ChaosScenarioResult:
     try:
         if not _wait_until(ping_ok):
             raise ConfigError("restarted overload daemon never served")
-        # A 12-cell campaign under a 50 ms deadline: at ~10 ms a cell it
-        # cannot finish in time even against an idle scheduler, so it
-        # must end ``expired`` at a cell boundary — never ``done``.
-        expired_spec = dataclasses.replace(
-            _chaos_spec("chaos-ovl-deadline", ("julia", "numba", "kokkos"),
-                        (256, 512, 1024, 2048), reps=2),
-            submission_key="storm-deadline", deadline_s=0.05)
-        expired_id, _ = submit_converge(expired_spec)
         for thread in threads:
             thread.join(timeout=_SCENARIO_TIMEOUT_S)
         convergence_s = time.monotonic() - t_storm
@@ -505,13 +512,12 @@ def scenario_overload(workdir: str) -> ChaosScenarioResult:
         finished = len(ids) == storm and _wait_until(storm_complete)
         mttr = time.monotonic() - t_restart
         expired_ok = False
-        if expired_id:
-            try:
-                ServiceClient(sock).wait(expired_id, timeout=60.0)
-            except DeadlineExpired:
-                expired_ok = True
-            except ServiceError:
-                expired_ok = False
+        try:
+            ServiceClient(sock).wait(expired_id, timeout=60.0)
+        except DeadlineExpired:
+            expired_ok = True
+        except ServiceError:
+            expired_ok = False
         status = ServiceClient(sock).status()
     finally:
         try:

@@ -61,6 +61,9 @@ import argparse
 import sys
 from typing import List, Optional
 
+# Only what building the parser needs is imported here; each command
+# imports the modules it runs inside its handler, so `repro status` never
+# loads the simulator and a cached `repro report` never loads NumPy.
 from .core.types import DeviceKind, Precision
 from .errors import (
     CellFailure,
@@ -69,23 +72,8 @@ from .errors import (
     RunInterrupted,
     ServiceError,
 )
-from .harness import (
-    Experiment,
-    PAPER_SIZES,
-    QUICK_SIZES,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    run_campaign,
-    table1,
-    table2,
-    table3,
-)
-from .harness.report import ascii_table, render_result_set
+from .harness.experiment import Experiment, PAPER_SIZES, QUICK_SIZES
 from .machine import NODE_CATALOG
-from .models import all_models
-from .core.productivity import productivity_report
 
 __all__ = ["main", "build_parser"]
 
@@ -451,7 +439,9 @@ def _cmd_machines() -> str:
 
 
 def _cmd_models() -> str:
+    from .harness.report import ascii_table
     from .machine import A100, AMPERE_ALTRA, EPYC_7A53, MI250X
+    from .models import all_models
     targets = [EPYC_7A53, AMPERE_ALTRA, MI250X, A100]
     headers = ["model", "version"] + [t.name for t in targets]
     rows = []
@@ -470,6 +460,10 @@ def _cmd_models() -> str:
 
 
 def _cmd_productivity() -> str:
+    from .core.productivity import productivity_report
+    from .harness.report import ascii_table
+    from .models import all_models
+
     rows = productivity_report(all_models())
     return ascii_table(
         ["model", "kernel LoC", "ceremony LoC", "compile step",
@@ -483,12 +477,16 @@ def _cmd_productivity() -> str:
 
 def _cmd_fig(number: int, full: bool, chart: bool,
              efficiencies: bool = False) -> str:
+    from .harness.figures import fig4, fig5, fig6, fig7
+
     sizes = PAPER_SIZES if full else QUICK_SIZES
     fn = {4: fig4, 5: fig5, 6: fig6, 7: fig7}[number]
     return fn(sizes).render(charts=chart, efficiencies=efficiencies)
 
 
 def _cmd_table(number: int, full: bool) -> str:
+    from .harness.figures import table1, table2, table3
+
     if number == 1:
         return table1()
     if number == 2:
@@ -602,7 +600,7 @@ def _watchdog_options(args: argparse.Namespace, base):
 
 def _finish_run(args: argparse.Namespace, exp: Experiment) -> str:
     from .config import resolve_campaign_spec
-    from .harness import resolve_engine
+    from .harness.runner import resolve_engine, run_campaign
 
     spec = resolve_campaign_spec(exp, cli=_spec_cli_overrides(args))
     base = None
@@ -637,6 +635,8 @@ def _finish_run(args: argparse.Namespace, exp: Experiment) -> str:
 
 
 def _render_run(args: argparse.Namespace, results, engine) -> str:
+    from .harness.report import render_result_set
+
     extra = ""
     if getattr(args, "engine_stats", False) and engine is not None \
             and engine.last_report is not None:
@@ -888,19 +888,19 @@ def _cmd_runs(args: argparse.Namespace) -> "tuple[str, int]":
 def _cmd_serve(args: argparse.Namespace) -> "tuple[str, int]":
     import os
 
-    from .service import (
-        AdmissionPolicy,
-        CampaignDaemon,
-        CampaignService,
-        ServiceClient,
-        TenantQuota,
-        default_socket_path,
-    )
+    from .service import ServiceClient, default_socket_path
 
     socket_path = args.socket or default_socket_path()
     if args.stop:
         ServiceClient(socket_path).shutdown()
         return f"asked the campaign daemon on {socket_path} to stop", 0
+    from .harness.runner import load_simulator
+    from .service import (AdmissionPolicy, CampaignDaemon, CampaignService,
+                          TenantQuota)
+
+    # A daemon serves many campaigns: it pays the simulator's imports
+    # (NumPy included) before its first ping, never inside a request.
+    load_simulator()
     service = None
     if args.max_total is not None or args.max_queued is not None:
         defaults = AdmissionPolicy()
@@ -1273,7 +1273,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         out = "\n".join(parts)
     elif args.command == "cascade":
         from .core.cascade import cascade, render_cascades
-        from .harness import table3
+        from .harness.figures import table3
         t3 = table3(QUICK_SIZES)
         prec = Precision.parse(args.precision)
         cascades = [cascade(m, t3.row(m, prec).efficiencies)

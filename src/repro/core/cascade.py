@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..harness.report import ascii_table
 from .metrics import phi_paper, pp_pennycook
 
 __all__ = ["CascadePoint", "Cascade", "cascade", "render_cascades"]
@@ -97,4 +96,8 @@ def render_cascades(cascades: Sequence[Cascade]) -> str:
             else:
                 row += ["", ""]
         rows.append(row)
+    # Rendering borrows the harness table; ``core`` imports nothing from
+    # ``harness`` at module level (see DESIGN.md, "Layering").
+    from ..harness.report import ascii_table
+
     return ascii_table(headers, rows)

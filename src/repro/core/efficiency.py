@@ -10,10 +10,12 @@ Table III from each figure's curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..harness.results import ResultSet
 from ..models.registry import reference_model_for
+
+if TYPE_CHECKING:  # core never imports harness at module level
+    from ..harness.results import ResultSet
 
 __all__ = ["PlatformEfficiency", "efficiency_table_for"]
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only where arrays are built
+    import numpy as np
 
 __all__ = [
     "Precision",
@@ -37,6 +39,7 @@ class Precision(enum.Enum):
     @property
     def np_dtype(self) -> np.dtype:
         """NumPy dtype used for the *input* matrices."""
+        import numpy as np
         return {
             Precision.FP64: np.dtype(np.float64),
             Precision.FP32: np.dtype(np.float32),
@@ -47,13 +50,13 @@ class Precision(enum.Enum):
     def accum_dtype(self) -> np.dtype:
         """NumPy dtype of the accumulator / output matrix C."""
         if self is Precision.FP16:
-            return np.dtype(np.float32)
+            return Precision.FP32.np_dtype
         return self.np_dtype
 
     @property
     def bytes(self) -> int:
-        """Bytes per input element."""
-        return self.np_dtype.itemsize
+        """Bytes per input element (the itemsize of :attr:`np_dtype`)."""
+        return _BYTES[self]
 
     @property
     def bits(self) -> int:
@@ -80,6 +83,11 @@ class Precision(enum.Enum):
         if key not in aliases:
             raise ValueError(f"unknown precision {text!r}")
         return aliases[key]
+
+
+#: Bytes per input element, kept apart from NumPy so that sizing a
+#: cell never imports it.
+_BYTES = {Precision.FP64: 8, Precision.FP32: 4, Precision.FP16: 2}
 
 
 class DeviceKind(enum.Enum):

@@ -1,11 +1,6 @@
 """GPU execution simulation: launch, occupancy, coalescing, wave scheduling."""
 
-from .coalescing import AccessCoalescing, CoalescingReport, analyze_coalescing
-from .launch import LaunchConfig, paper_launch
-from .occupancy import Occupancy, occupancy
-from .transfer import TransferEstimate, gemm_transfer_estimate
-from .warp_sim import (GPUKernelTiming, IssueProfile, classify_kernel_bound,
-                       simulate_gpu_kernel)
+from .._lazy import lazy_exports
 
 __all__ = [
     "AccessCoalescing",
@@ -22,3 +17,13 @@ __all__ = [
     "classify_kernel_bound",
     "simulate_gpu_kernel",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".coalescing": ("AccessCoalescing", "CoalescingReport",
+                    "analyze_coalescing"),
+    ".launch": ("LaunchConfig", "paper_launch"),
+    ".occupancy": ("Occupancy", "occupancy"),
+    ".transfer": ("TransferEstimate", "gemm_transfer_estimate"),
+    ".warp_sim": ("GPUKernelTiming", "IssueProfile", "classify_kernel_bound",
+                  "simulate_gpu_kernel"),
+})

@@ -26,21 +26,13 @@ Process-wide configuration (read once, on first use):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .cache import (CacheStats, LOCK_GRACE_SECONDS, ResultCache,
-                    TMP_GRACE_SECONDS, default_cache_dir)
-from .cell import CellRecord
-from .executor import ENGINE_MODES, SweepEngine, SweepReport
-from .fingerprint import (
-    CONSTANTS_VERSION,
-    campaign_fingerprint,
-    cell_fingerprint,
-    fingerprint_payload,
-)
-from .options import RetryPolicy, RunOptions
-from .watchdog import WatchdogPolicy
-from .worker import CellTask, RunPayload, execute_cell_payload
+from ..._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .executor import SweepEngine
+    from .options import RunOptions
 
 __all__ = [
     "CacheStats",
@@ -70,6 +62,20 @@ __all__ = [
     "reset_default_run_options",
 ]
 
+# Exports load on first use: reading the cache needs neither the
+# process-pool worker nor the simulator behind it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("CacheStats", "LOCK_GRACE_SECONDS", "ResultCache",
+               "TMP_GRACE_SECONDS", "default_cache_dir"),
+    ".cell": ("CellRecord",),
+    ".executor": ("ENGINE_MODES", "SweepEngine", "SweepReport"),
+    ".fingerprint": ("CONSTANTS_VERSION", "campaign_fingerprint",
+                     "cell_fingerprint", "fingerprint_payload"),
+    ".options": ("RetryPolicy", "RunOptions"),
+    ".watchdog": ("WatchdogPolicy",),
+    ".worker": ("CellTask", "RunPayload", "execute_cell_payload"),
+})
+
 _default_engine: Optional[SweepEngine] = None
 
 
@@ -77,6 +83,7 @@ def default_engine() -> SweepEngine:
     """The process-wide engine, built from the environment on first use."""
     global _default_engine
     if _default_engine is None:
+        from .executor import SweepEngine
         _default_engine = SweepEngine.from_env()
     return _default_engine
 
@@ -103,6 +110,7 @@ def default_run_options() -> RunOptions:
     override installed via :func:`set_default_run_options`) everywhere."""
     global _default_run_options
     if _default_run_options is None:
+        from .options import RunOptions
         _default_run_options = RunOptions.from_env()
     return _default_run_options
 

@@ -16,9 +16,11 @@ Writes are atomic (temp file + ``os.replace``) and the in-process
 hit/miss/store/evict counters are lock-protected, so the cache is safe
 under the engine's thread-pool fan-out.  The store is additionally safe
 for *multi-process* writers (the ``--engine process`` fan-out): every
-replace and eviction runs under a per-digest advisory file lock
-(``fcntl.flock`` on a ``<entry>.lock`` sidecar, degrading to the
-in-process lock where ``fcntl`` is unavailable), :meth:`ResultCache.put`
+replace and eviction runs under an advisory lock on the store's one
+lock file (``fcntl.flock`` on a read-write descriptor of
+:data:`LOCK_FILE` in the cache root, degrading to the in-process lock
+where ``fcntl`` is unavailable), so a store creates no inode beyond its
+temp file; :meth:`ResultCache.put`
 is compare-and-swap — it re-checks for a valid entry under the lock and
 drops its own bytes if another writer already landed one — and
 :meth:`ResultCache._evict` re-validates under the lock so it can never
@@ -28,8 +30,9 @@ A writer killed between ``mkstemp`` and ``os.replace`` leaves an
 orphaned ``*.tmp`` file; :meth:`ResultCache.clear`, ``repro fsck`` and
 :meth:`ResultCache.disk_stats` all account for those.  Cleanup only
 touches temp files older than :data:`TMP_GRACE_SECONDS`, so it cannot
-unlink another worker's in-flight temp file.  Lock sidecars abandoned
-by SIGKILL'd workers are reaped the same way, behind the
+unlink another worker's in-flight temp file.  Stores written before
+the store-wide lock took a ``<entry>.lock`` sidecar per entry;
+those legacy sidecars are reaped the same way, behind the
 :data:`LOCK_GRACE_SECONDS` age grace (``flock`` locks die with their
 holder, so a *stale* sidecar is pure litter — but removing a *live*
 one would hand two processes different inodes for the same digest).
@@ -61,7 +64,6 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
-from ...chaos.plan import chaos_strike
 from ...core.types import Precision
 from ...errors import CacheError
 from ...ioutil import content_digest
@@ -76,15 +78,21 @@ from .fingerprint import CONSTANTS_VERSION
 __all__ = ["CacheStats", "ResultCache", "default_cache_dir",
            "TMP_GRACE_SECONDS", "LOCK_GRACE_SECONDS"]
 
+#: The store's one lock file, in the cache root (outside every shard, so
+#: entry listing, cleanup and ``repro fsck`` never see it).  Created once
+#: and kept; every replace/evict takes ``flock`` on it.
+LOCK_FILE = "LOCK"
+
 #: Minimum age before an orphaned ``*.tmp`` file may be unlinked by
 #: cleanup (:meth:`ResultCache.clear`, ``repro fsck``).  A concurrent
 #: worker's in-flight temp file is at most milliseconds old; anything
 #: past this window belongs to a writer that died mid-``put``.
 TMP_GRACE_SECONDS = 60.0
 
-#: Same age grace for ``*.lock`` sidecars: a live writer holds its lock
-#: for milliseconds, so a sidecar this old belongs to a worker that was
-#: SIGKILL'd mid-``put`` (the kernel released the ``flock`` with it).
+#: Same age grace for legacy ``*.lock`` sidecars (one per entry, left by
+#: stores that predate :data:`LOCK_FILE`): a live writer holds its
+#: lock for milliseconds, so a sidecar this old is litter (the kernel
+#: released the ``flock`` with its holder).
 LOCK_GRACE_SECONDS = 60.0
 
 
@@ -154,20 +162,27 @@ class ResultCache:
 
     @contextlib.contextmanager
     def _digest_lock(self, path: str):
-        """Advisory per-digest lock serialising replace/evict across
+        """Advisory lock serialising replace/evict of ``path`` across
         processes.
 
-        Taken on a ``<entry>.lock`` sidecar (never the entry itself, which
-        ``os.replace`` swaps out from under an open descriptor).  Falls
-        back to the in-process lock where ``fcntl`` is unavailable —
-        single-process semantics are unchanged either way.
+        Taken on the store's :data:`LOCK_FILE` (never the entry itself,
+        which ``os.replace`` swaps out from under an open descriptor),
+        opened read-write because NFS emulates ``flock`` with ``fcntl``
+        locks, which refuse an exclusive lock on a read-only descriptor.
+        The file is created by the first store and reused after, so a
+        put creates no inode beyond its temp file; the price is that
+        writers serialise store-wide for the few microseconds of a
+        re-check and rename.  Falls back to the in-process lock where
+        ``fcntl`` is unavailable — single-process semantics are
+        unchanged either way.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX
             with self._io_lock:
                 yield
             return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd = os.open(path + ".lock", os.O_CREAT | os.O_RDWR, 0o644)
+        os.makedirs(self.root, exist_ok=True)
+        fd = os.open(os.path.join(self.root, LOCK_FILE),
+                     os.O_CREAT | os.O_RDWR, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             yield
@@ -228,7 +243,7 @@ class ResultCache:
             metadata: Optional[Dict[str, Any]] = None) -> bool:
         """Store one measurement atomically under its fingerprint.
 
-        Compare-and-swap under the per-digest lock: if a concurrent
+        Compare-and-swap under the entry's lock: if a concurrent
         writer already landed a valid entry, this writer's bytes are
         discarded (both raced the same pure cell, so the payloads agree)
         and the method returns ``False``.  Returns ``True`` when this
@@ -278,12 +293,14 @@ class ResultCache:
         # One atomic CAS write attempt; OSErrors propagate to put()'s
         # pressure handling.  Chaos strike point "cache-put": an armed
         # plan simulates a full disk here by raising ENOSPC.
+        from ...chaos.plan import chaos_strike
+
         chaos_strike("cache-put", fingerprint)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
+                fh.write(json.dumps(entry))
             with self._digest_lock(path):
                 status, _ = self._load_valid(path)
                 if status == "ok":
@@ -337,8 +354,8 @@ class ResultCache:
     # -- maintenance ------------------------------------------------------
 
     def clear(self) -> int:
-        """Delete every entry (plus *aged* lock sidecars and orphaned
-        temp files); returns how many *entries* were removed.
+        """Delete every entry (plus *aged* legacy lock sidecars and
+        orphaned temp files); returns how many *entries* were removed.
 
         Temp files younger than :data:`TMP_GRACE_SECONDS` and lock
         sidecars younger than :data:`LOCK_GRACE_SECONDS` are left
@@ -428,7 +445,7 @@ class ResultCache:
                     yield os.path.join(shard_dir, name)
 
     def stale_lock_paths(self, min_age_s: float = LOCK_GRACE_SECONDS):
-        """Lock sidecars abandoned by workers killed mid-:meth:`put`.
+        """Legacy ``<entry>.lock`` sidecars old enough to be litter.
 
         Only sidecars at least ``min_age_s`` old (by mtime) are yielded,
         mirroring :meth:`orphan_tmp_paths`'s grace: a live writer holds

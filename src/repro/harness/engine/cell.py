@@ -31,11 +31,8 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 from ...core.types import MatrixShape, Precision
 from ...errors import CellFailure, RetryExhaustedError, WorkerLost
-from ...models.base import ProgrammingModel
 from ...models.registry import model_by_name
 from ...sim.faults import FaultInjector
-from ...trace.events import EventKind
-from ...trace.profiler import Profiler
 from ..experiment import Experiment
 from ..export import measurement_from_dict
 from ..health import (
@@ -50,19 +47,25 @@ from ..results import Measurement, ResultSet
 from .cache import ResultCache
 from .fingerprint import campaign_fingerprint, cell_fingerprint
 from .options import RunOptions
-from .worker import attempt_cell, failed_measurement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ...models.base import ProgrammingModel
+    from ...trace.events import EventKind
+    from ...trace.profiler import Profiler
     from ..journal import RunJournal
 
-__all__ = ["BREAKER_EVENT", "CellPipeline", "CellRecord"]
+__all__ = ["CellPipeline", "CellRecord", "breaker_event"]
 
-#: Trace event kind for each breaker state a lane can transition *into*.
-BREAKER_EVENT = {
-    BreakerState.OPEN: EventKind.BREAKER_OPEN,
-    BreakerState.HALF_OPEN: EventKind.BREAKER_HALF_OPEN,
-    BreakerState.CLOSED: EventKind.BREAKER_CLOSE,
-}
+
+def breaker_event(state: BreakerState) -> EventKind:
+    """Trace event kind for the breaker state a lane transitions *into*."""
+    from ...trace.events import EventKind
+
+    return {
+        BreakerState.OPEN: EventKind.BREAKER_OPEN,
+        BreakerState.HALF_OPEN: EventKind.BREAKER_HALF_OPEN,
+        BreakerState.CLOSED: EventKind.BREAKER_CLOSE,
+    }[state]
 
 
 @dataclass(frozen=True)
@@ -241,6 +244,11 @@ class CellPipeline:
         ``fail_fast``; otherwise a failing cell is isolated into a
         degraded (e = 0) measurement.
         """
+        # The worker (and through it the simulator) loads with the first
+        # cell that runs; a sweep served from the cache never imports it.
+        from ...trace.profiler import Profiler
+        from .worker import attempt_cell
+
         model, shape = self.cells[i]
         fp = self.fingerprints[i]
         cell_prof = Profiler() if self.traced else None
@@ -278,6 +286,9 @@ class CellPipeline:
         unchanged: a cell without its done record re-executes on resume
         either way.
         """
+        from ...trace.events import EventKind
+        from ...trace.profiler import Profiler
+
         err = result.get("error")
         if err is not None:
             err_cls = {"RetryExhaustedError": RetryExhaustedError,
@@ -305,6 +316,8 @@ class CellPipeline:
     def degrade(self, i: int, reason: str) -> CellRecord:
         """Fail cell ``i`` without running it: journaled as a degraded
         (e = 0) cell with ``reason`` as its note."""
+        from .worker import failed_measurement
+
         model, shape = self.cells[i]
         m = failed_measurement(model, shape, self.experiment, reason)
         return self._commit(i, m, self._now(), 0.0, 0, 0, None, None)
@@ -356,6 +369,8 @@ class CellPipeline:
         # simulated costs to the lane clock -> journal the transitions.
         # Returns the per-cell health metadata that makes resume
         # byte-identical alongside the measurement.
+        from .worker import attempt_cell
+
         model, shape = self.cells[i]
         health = self.health
         lane = health.lane_for(model.name)
@@ -394,7 +409,7 @@ class CellPipeline:
             if self.journal is not None:
                 self.journal.breaker(**tr.payload())
             if cell_prof is not None:
-                cell_prof.record(BREAKER_EVENT[tr.to_state], tr.lane, 0.0,
+                cell_prof.record(breaker_event(tr.to_state), tr.lane, 0.0,
                                  cell=tr.cell_index, at_s=tr.at_s,
                                  reason=tr.reason)
         return m, attempts, faults_hit, meta
@@ -415,6 +430,9 @@ class CellPipeline:
         otherwise keeps the origin cell's model/display with full
         substitution provenance so Table III can price it honestly.
         """
+        from ...trace.events import EventKind
+        from .worker import attempt_cell
+
         experiment = self.experiment
         serve_cost = 0.0
         tried = 0

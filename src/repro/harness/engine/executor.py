@@ -64,33 +64,24 @@ wall-clock offsets.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ...errors import CellFailure, ConfigError, RunInterrupted
-from ...trace.events import EventKind
-from ...trace.profiler import Profiler
 from ..experiment import Experiment
-from ..export import measurement_to_dict
 from ..health import BreakerTransition
 from ..results import ResultSet
 from .cache import ResultCache
-from .cell import BREAKER_EVENT, CellPipeline, CellRecord
+from .cell import CellPipeline, CellRecord, breaker_event
 from .options import RunOptions
-from .worker import (
-    CellTask,
-    RunPayload,
-    execute_cell_payload,
-    failed_measurement,
-)
+
+if TYPE_CHECKING:
+    from ...trace.profiler import Profiler
 
 __all__ = ["CellRecord", "SweepReport", "SweepEngine", "ENGINE_MODES"]
 
@@ -155,6 +146,9 @@ class SweepReport:
         cells overlap, exactly as they ran) rather than stacked end to
         end from t=0, so a Chrome-trace export shows the actual fan-out.
         """
+        from ...trace.events import EventKind
+        from ...trace.profiler import Profiler
+
         prof = Profiler()
         for cell in sorted(self.cells, key=lambda c: (c.start_s, c.model,
                                                       c.shape)):
@@ -178,7 +172,7 @@ class SweepReport:
             # breaker clock itself is simulated lane time).
             offset = (self.cells[tr.cell_index].start_s
                       if 0 <= tr.cell_index < len(self.cells) else 0.0)
-            prof.record_at(BREAKER_EVENT[tr.to_state], tr.lane, offset, 0.0,
+            prof.record_at(breaker_event(tr.to_state), tr.lane, offset, 0.0,
                            cell=tr.cell_index, at_s=tr.at_s,
                            reason=tr.reason)
         return prof
@@ -284,6 +278,8 @@ class SweepEngine:
         for ~milliseconds.  Workers never touch the parent's journal or
         thread state, so forking is safe here.
         """
+        import multiprocessing
+
         if "fork" in multiprocessing.get_all_start_methods():
             return multiprocessing.get_context("fork")
         return multiprocessing.get_context()  # pragma: no cover - non-POSIX
@@ -404,6 +400,22 @@ class SweepEngine:
         # degraded-cell path, so the journal record stream stays
         # deterministic either way.  ``counts`` collects the respawns
         # and redrives for the report.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
+        from ..export import measurement_to_dict
+        from ..runner import load_simulator
+        from .worker import (
+            CellTask,
+            RunPayload,
+            execute_cell_payload,
+            failed_measurement,
+        )
+
+        # Forked workers inherit the parent's imports: load the simulator
+        # once here rather than once per worker.
+        load_simulator()
         opts = pipeline.opts
         experiment = pipeline.experiment
         wd = opts.watchdog
@@ -559,11 +571,11 @@ class SweepEngine:
         resume.  ``fail_fast`` aborts close the journal as ``failed``
         before the :class:`CellFailure` propagates.
         """
-        from ..journal.signals import graceful_shutdown
-
         total = len(pipeline.cells)
-        guard = (graceful_shutdown() if pipeline.journal is not None
-                 else contextlib.nullcontext())
+        guard = contextlib.nullcontext()
+        if pipeline.journal is not None:
+            from ..journal.signals import graceful_shutdown
+            guard = graceful_shutdown()
         try:
             with guard:
                 drive()

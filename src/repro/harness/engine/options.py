@@ -18,12 +18,12 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from ...errors import ConfigError
 from ...sim.faults import FaultConfig
-from ...trace.profiler import Profiler
 from ..health import BreakerPolicy, FallbackLadder
 from .watchdog import WatchdogPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...harness.journal import RunJournal
+    from ...trace.profiler import Profiler
     from ..results import Measurement
 
 __all__ = ["RetryPolicy", "RunOptions"]

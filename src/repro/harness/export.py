@@ -34,15 +34,17 @@ Schema history:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict
 import csv
 import io
 
 from ..core.types import MatrixShape, Precision
 from ..errors import ExperimentError
 from .experiment import Experiment
-from .figures import Table3Result
 from .results import Measurement, ResultSet
+
+if TYPE_CHECKING:  # figures imports the runner; the codec needs neither
+    from .figures import Table3Result
 
 __all__ = ["result_set_to_dict", "result_set_from_dict",
            "result_set_to_json", "result_set_from_json",

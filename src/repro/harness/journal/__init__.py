@@ -20,11 +20,7 @@ checkpoint instead of a loss:
 
 from __future__ import annotations
 
-from .fsck import FsckIssue, FsckReport, fsck_store
-from .journal import JOURNAL_FORMAT, JournalState, RunJournal, load_journal
-from .registry import ACTIVE_STALE_SECONDS, RunRegistry, default_runs_dir
-from .resume import restore_campaign, resume_run
-from .signals import EXIT_FSCK_CORRUPT, EXIT_INTERRUPTED, graceful_shutdown
+from ..._lazy import lazy_exports
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -43,3 +39,12 @@ __all__ = [
     "FsckReport",
     "fsck_store",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".fsck": ("FsckIssue", "FsckReport", "fsck_store"),
+    ".journal": ("JOURNAL_FORMAT", "JournalState", "RunJournal",
+                 "load_journal"),
+    ".registry": ("ACTIVE_STALE_SECONDS", "RunRegistry", "default_runs_dir"),
+    ".resume": ("restore_campaign", "resume_run"),
+    ".signals": ("EXIT_FSCK_CORRUPT", "EXIT_INTERRUPTED", "graceful_shutdown"),
+})

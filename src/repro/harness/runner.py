@@ -13,21 +13,52 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.types import DeviceKind, MatrixShape
 from ..errors import ConfigError
-from ..gpu.transfer import gemm_transfer_estimate
-from ..gpu.warp_sim import simulate_gpu_kernel
-from ..models.base import ProgrammingModel
-from ..sim.executor import simulate_cpu_kernel
-from ..sim.variability import VariabilityModel
-from ..trace.events import EventKind
-from ..trace.profiler import Profiler
 from .experiment import Experiment
 from .results import Measurement, ResultSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..models.base import ProgrammingModel
     from ..service.spec import CampaignSpec
+    from ..trace.profiler import Profiler
     from .engine import RunOptions, SweepEngine
 
-__all__ = ["run_campaign", "run_measurement", "resolve_engine"]
+__all__ = ["run_campaign", "run_measurement", "resolve_engine",
+           "load_simulator", "SIMULATOR_MODULES"]
+
+#: What executing a cell imports beyond serving it from the cache: the
+#: retry loop, the models' lowering (IR, passes, operand fills) and
+#: source listings (their JIT warm-up), the CPU/GPU simulators and NumPy.
+SIMULATOR_MODULES = (
+    "numpy",
+    "numpy.random",
+    "repro.arrays.random",
+    "repro.gpu.transfer",
+    "repro.gpu.warp_sim",
+    "repro.harness.engine.worker",
+    "repro.ir.builder",
+    "repro.ir.passes.bounds_check",
+    "repro.ir.passes.fastmath",
+    "repro.ir.passes.invariant",
+    "repro.ir.passes.unroll",
+    "repro.ir.passes.vectorize",
+    "repro.models.listings",
+    "repro.sched.affinity",
+    "repro.sim.executor",
+    "repro.trace.profiler",
+)
+
+
+def load_simulator() -> None:
+    """Import :data:`SIMULATOR_MODULES` now instead of in the first cell.
+
+    A sweep loads them with its first executed cell, so a sweep served
+    from the cache never does.  A long-lived daemon calls this before it
+    answers its first ping, so no request pays for the imports.
+    """
+    import importlib
+
+    for name in SIMULATOR_MODULES:
+        importlib.import_module(name)
 
 
 def run_measurement(
@@ -37,6 +68,15 @@ def run_measurement(
     profiler: Optional[Profiler] = None,
 ) -> Measurement:
     """Simulate one (model, size) cell of an experiment."""
+    # The simulator loads with the first cell that runs: a sweep served
+    # from the cache never imports it (or NumPy).
+    from ..gpu.transfer import gemm_transfer_estimate
+    from ..gpu.warp_sim import simulate_gpu_kernel
+    from ..sim.executor import simulate_cpu_kernel
+    from ..sim.variability import VariabilityModel
+    from ..trace.events import EventKind
+    from ..trace.profiler import Profiler
+
     spec = experiment.target_spec
     precision = experiment.precision
     support = model.supports(spec, precision)

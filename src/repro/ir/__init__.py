@@ -1,38 +1,6 @@
 """Loop-nest kernel IR, builders, analyses and optimisation passes."""
 
-from .analysis import (
-    InstructionMix,
-    RefInfo,
-    StrideClass,
-    executions_of,
-    flop_count,
-    instruction_mix,
-    reference_info,
-)
-from .builder import (
-    VAR_AXES,
-    build_gemm,
-    c_openmp_cpu,
-    gemm_arrays,
-    gpu_thread_per_element,
-    julia_threads_cpu,
-    kokkos_cpu,
-    numba_cpu,
-)
-from .nodes import (
-    ArrayDecl,
-    ArrayRef,
-    AxisRole,
-    Body,
-    FMAOp,
-    Guard,
-    IndexExpr,
-    Kernel,
-    LoadOp,
-    Loop,
-    ParallelKind,
-    StoreOp,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "InstructionMix",
@@ -63,3 +31,14 @@ __all__ = [
     "ParallelKind",
     "StoreOp",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("InstructionMix", "RefInfo", "StrideClass", "executions_of",
+                  "flop_count", "instruction_mix", "reference_info"),
+    ".builder": ("VAR_AXES", "build_gemm", "c_openmp_cpu", "gemm_arrays",
+                 "gpu_thread_per_element", "julia_threads_cpu", "kokkos_cpu",
+                 "numba_cpu"),
+    ".nodes": ("ArrayDecl", "ArrayRef", "AxisRole", "Body", "FMAOp", "Guard",
+               "IndexExpr", "Kernel", "LoadOp", "Loop", "ParallelKind",
+               "StoreOp"),
+})

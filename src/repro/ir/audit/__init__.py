@@ -21,52 +21,7 @@ like :mod:`repro.ir.lint` it is deliberately not re-exported from
 :mod:`repro.ir` to keep the IR core cycle-free.
 """
 
-from .auditor import (
-    AUDIT_SHAPE,
-    LARGEST_SWEEP_SHAPE,
-    AuditResult,
-    AuditVerdict,
-    audit_lowering,
-    audit_registry,
-    render_audit_findings,
-    render_audit_matrix,
-)
-from .consistency import (
-    BAND_SLACK,
-    ORDERING_MARGIN,
-    ConsistencyReport,
-    LaneConsistency,
-    OrderingConflict,
-    check_consistency,
-)
-from .memory import (
-    AccessClassification,
-    classify_gpu_accesses,
-    cpu_memory_diagnostics,
-    crosscheck_coalescing,
-    footprint_diagnostics,
-    gpu_memory_diagnostics,
-    locality_diagnostics,
-)
-from .precision_flow import LONG_REDUCTION_K, precision_diagnostics
-from .residency import (
-    NOMINAL_REGISTERS,
-    OCCUPANCY_HAZARD_FRACTION,
-    RegisterEstimate,
-    estimate_registers,
-    residency_diagnostics,
-)
-from .verdict import (
-    BAND_HIGH,
-    BAND_MEDIUM,
-    Band,
-    StaticEstimate,
-    band_of,
-    classify_band,
-    cpu_issue_estimate,
-    gpu_issue_estimate,
-    predicted_efficiency,
-)
+from ..._lazy import lazy_exports
 
 __all__ = [
     "AUDIT_SHAPE",
@@ -107,3 +62,23 @@ __all__ = [
     "gpu_issue_estimate",
     "predicted_efficiency",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".auditor": ("AUDIT_SHAPE", "LARGEST_SWEEP_SHAPE", "AuditResult",
+                 "AuditVerdict", "audit_lowering", "audit_registry",
+                 "render_audit_findings", "render_audit_matrix"),
+    ".consistency": ("BAND_SLACK", "ORDERING_MARGIN", "ConsistencyReport",
+                     "LaneConsistency", "OrderingConflict",
+                     "check_consistency"),
+    ".memory": ("AccessClassification", "classify_gpu_accesses",
+                "cpu_memory_diagnostics", "crosscheck_coalescing",
+                "footprint_diagnostics", "gpu_memory_diagnostics",
+                "locality_diagnostics"),
+    ".precision_flow": ("LONG_REDUCTION_K", "precision_diagnostics"),
+    ".residency": ("NOMINAL_REGISTERS", "OCCUPANCY_HAZARD_FRACTION",
+                   "RegisterEstimate", "estimate_registers",
+                   "residency_diagnostics"),
+    ".verdict": ("BAND_HIGH", "BAND_MEDIUM", "Band", "StaticEstimate",
+                 "band_of", "classify_band", "cpu_issue_estimate",
+                 "gpu_issue_estimate", "predicted_efficiency"),
+})

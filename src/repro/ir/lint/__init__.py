@@ -16,28 +16,7 @@ Layers, innermost first:
   ``repro audit`` share for ``--format json``.
 """
 
-from .bounds import provably_in_bounds
-from .dependence import (
-    Dependence,
-    DependenceKind,
-    analyze_dependences,
-    interchange_legal,
-)
-from .diagnostics import CODES, Diagnostic, DiagnosticSet, Severity
-from .legality import (
-    elide_bounds_preconditions,
-    interchange_preconditions,
-    licm_preconditions,
-    unroll_preconditions,
-)
-from .linter import LintResult, lint_kernel, lint_lowering, lint_registry
-from .races import race_diagnostics
-from .serialize import (
-    diagnostic_payload,
-    lane_payload,
-    sweep_payload,
-    sweep_to_json,
-)
+from ..._lazy import lazy_exports
 
 __all__ = [
     "CODES",
@@ -63,3 +42,16 @@ __all__ = [
     "sweep_payload",
     "sweep_to_json",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bounds": ("provably_in_bounds",),
+    ".dependence": ("Dependence", "DependenceKind", "analyze_dependences",
+                    "interchange_legal"),
+    ".diagnostics": ("CODES", "Diagnostic", "DiagnosticSet", "Severity"),
+    ".legality": ("elide_bounds_preconditions", "interchange_preconditions",
+                  "licm_preconditions", "unroll_preconditions"),
+    ".linter": ("LintResult", "lint_kernel", "lint_lowering", "lint_registry"),
+    ".races": ("race_diagnostics",),
+    ".serialize": ("diagnostic_payload", "lane_payload", "sweep_payload",
+                   "sweep_to_json"),
+})

@@ -1,12 +1,6 @@
 """Optimisation passes applied by programming-model frontends."""
 
-from .base import Pass, PassPipeline, PassRecord
-from .bounds_check import ElideBoundsChecks, InsertBoundsChecks
-from .fastmath import SetFastMath
-from .interchange import InterchangeLoops
-from .invariant import LoopInvariantMotion
-from .unroll import UnrollInnerLoop
-from .vectorize import VectorizeInnerLoop, vectorization_legal
+from ..._lazy import lazy_exports
 
 __all__ = [
     "Pass",
@@ -21,3 +15,13 @@ __all__ = [
     "VectorizeInnerLoop",
     "vectorization_legal",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Pass", "PassPipeline", "PassRecord"),
+    ".bounds_check": ("ElideBoundsChecks", "InsertBoundsChecks"),
+    ".fastmath": ("SetFastMath",),
+    ".interchange": ("InterchangeLoops",),
+    ".invariant": ("LoopInvariantMotion",),
+    ".unroll": ("UnrollInnerLoop",),
+    ".vectorize": ("VectorizeInnerLoop", "vectorization_legal"),
+})

@@ -1,20 +1,6 @@
 """Real, runnable GEMM kernels and their validation against NumPy."""
 
-from .blocked import gemm_blocked, pick_block_size
-from .naive import (
-    LOOP_ORDERS,
-    gemm_ijk,
-    gemm_ijk_accum,
-    gemm_ikj,
-    gemm_jik,
-    gemm_jki,
-    gemm_kij,
-    gemm_kji,
-    naive_gemm,
-)
-from .reference import reference_gemm
-from .validate import assert_allclose_gemm, tolerance_for, validate_kernel
-from .vectorized import gemm_colwise, gemm_dot_rows, gemm_outer, gemm_rowwise
+from .._lazy import lazy_exports
 
 __all__ = [
     "gemm_blocked",
@@ -37,3 +23,13 @@ __all__ = [
     "gemm_outer",
     "gemm_rowwise",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".blocked": ("gemm_blocked", "pick_block_size"),
+    ".naive": ("LOOP_ORDERS", "gemm_ijk", "gemm_ijk_accum", "gemm_ikj",
+               "gemm_jik", "gemm_jki", "gemm_kij", "gemm_kji", "naive_gemm"),
+    ".reference": ("reference_gemm",),
+    ".validate": ("assert_allclose_gemm", "tolerance_for", "validate_kernel"),
+    ".vectorized": ("gemm_colwise", "gemm_dot_rows", "gemm_outer",
+                    "gemm_rowwise"),
+})

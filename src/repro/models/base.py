@@ -20,20 +20,24 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..arrays.random import FillPolicy
 from ..config import RunConfig
 from ..core.types import DeviceKind, Layout, Precision
 from ..errors import UnsupportedConfigurationError
-from ..gpu.launch import LaunchConfig
-from ..gpu.warp_sim import IssueProfile
-from ..ir.nodes import Kernel
-from ..ir.passes.base import PassRecord
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
-from ..sched.affinity import PinPolicy
-from ..sim.executor import CPUIssueProfile
+
+if TYPE_CHECKING:
+    # The IR, arrays and simulator load when a model lowers, not when the
+    # registry is built: a support-matrix query or a cached cell needs none.
+    from ..arrays.random import FillPolicy
+    from ..gpu.launch import LaunchConfig
+    from ..gpu.warp_sim import IssueProfile
+    from ..ir.nodes import Kernel
+    from ..ir.passes.base import PassRecord
+    from ..sched.affinity import PinPolicy
+    from ..sim.executor import CPUIssueProfile
 
 __all__ = [
     "Support",

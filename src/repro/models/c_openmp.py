@@ -12,16 +12,8 @@ from typing import Optional
 
 from ..config import RunConfig
 from ..core.types import DeviceKind, Precision
-from ..ir import builder
-from ..ir.passes import (
-    LoopInvariantMotion,
-    UnrollInnerLoop,
-    VectorizeInnerLoop,
-)
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
-from ..sched.affinity import PinPolicy
-from ..sim.executor import CPUIssueProfile
 from .base import CPULowering, ProductivityInfo, ProgrammingModel, Support
 
 __all__ = ["COpenMPModel"]
@@ -52,6 +44,15 @@ class COpenMPModel(ProgrammingModel):
 
     def lower_cpu(self, cpu: CPUSpec, precision: Precision,
                   config: Optional[RunConfig] = None) -> CPULowering:
+        from ..ir import builder
+        from ..ir.passes import (
+            LoopInvariantMotion,
+            UnrollInnerLoop,
+            VectorizeInnerLoop,
+        )
+        from ..sched.affinity import PinPolicy
+        from ..sim.executor import CPUIssueProfile
+
         self.require_support(cpu, precision)
         kernel = builder.c_openmp_cpu(precision)
         kernel, records = self._run_pipeline([

@@ -7,12 +7,7 @@ CUDA.jl comparison hinges on.
 
 from __future__ import annotations
 
-from ..arrays.random import FillPolicy
 from ..core.types import DeviceKind, Layout, Precision
-from ..gpu.launch import paper_launch
-from ..gpu.warp_sim import IssueProfile
-from ..ir import builder
-from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
 from .base import GPULowering, ProductivityInfo, ProgrammingModel, Support
@@ -45,6 +40,12 @@ class CUDAModel(ProgrammingModel):
         return Support.yes()
 
     def lower_gpu(self, gpu: GPUSpec, precision: Precision) -> GPULowering:
+        from ..arrays.random import FillPolicy
+        from ..gpu.launch import paper_launch
+        from ..gpu.warp_sim import IssueProfile
+        from ..ir import builder
+        from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
+
         self.require_support(gpu, precision)
         kernel = builder.gpu_thread_per_element("gemm-cuda", precision,
                                                 Layout.ROW_MAJOR)

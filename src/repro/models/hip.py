@@ -6,12 +6,7 @@
 
 from __future__ import annotations
 
-from ..arrays.random import FillPolicy
 from ..core.types import DeviceKind, Layout, Precision
-from ..gpu.launch import paper_launch
-from ..gpu.warp_sim import IssueProfile
-from ..ir import builder
-from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
 from .base import GPULowering, ProductivityInfo, ProgrammingModel, Support
@@ -42,6 +37,12 @@ class HIPModel(ProgrammingModel):
         return Support.yes()
 
     def lower_gpu(self, gpu: GPUSpec, precision: Precision) -> GPULowering:
+        from ..arrays.random import FillPolicy
+        from ..gpu.launch import paper_launch
+        from ..gpu.warp_sim import IssueProfile
+        from ..ir import builder
+        from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
+
         self.require_support(gpu, precision)
         kernel = builder.gpu_thread_per_element("gemm-hip", precision,
                                                 Layout.ROW_MAJOR)

@@ -27,22 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..arrays.random import FillPolicy
 from ..config import RunConfig
 from ..core.types import DeviceKind, Layout, Precision
-from ..gpu.launch import paper_launch
-from ..gpu.warp_sim import IssueProfile
-from ..ir import builder
-from ..ir.passes import (
-    ElideBoundsChecks,
-    LoopInvariantMotion,
-    UnrollInnerLoop,
-    VectorizeInnerLoop,
-)
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
-from ..sched.affinity import PinPolicy
-from ..sim.executor import CPUIssueProfile
 from .base import CPULowering, GPULowering, ProductivityInfo, ProgrammingModel, Support
 
 __all__ = ["JuliaModel", "CUDAJL_UNROLL"]
@@ -113,6 +101,17 @@ class JuliaModel(ProgrammingModel):
 
     def lower_cpu(self, cpu: CPUSpec, precision: Precision,
                   config: Optional[RunConfig] = None) -> CPULowering:
+        from ..arrays.random import FillPolicy
+        from ..ir import builder
+        from ..ir.passes import (
+            ElideBoundsChecks,
+            LoopInvariantMotion,
+            UnrollInnerLoop,
+            VectorizeInnerLoop,
+        )
+        from ..sched.affinity import PinPolicy
+        from ..sim.executor import CPUIssueProfile
+
         self.require_support(cpu, precision)
         kernel = builder.julia_threads_cpu(precision)
         lanes = cpu.simd_lanes(precision)
@@ -140,6 +139,12 @@ class JuliaModel(ProgrammingModel):
     # -- GPU -----------------------------------------------------------------
 
     def lower_gpu(self, gpu: GPUSpec, precision: Precision) -> GPULowering:
+        from ..arrays.random import FillPolicy
+        from ..gpu.launch import paper_launch
+        from ..gpu.warp_sim import IssueProfile
+        from ..ir import builder
+        from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
+
         self.require_support(gpu, precision)
         # Julia arrays are column-major; CUDA.jl kernels put threadIdx.x on
         # the row index, keeping accesses coalesced for that layout.

@@ -19,12 +19,7 @@ single-digit-percent penalty on both GPUs — the quantitative version of
 from __future__ import annotations
 
 
-from ..arrays.random import FillPolicy
 from ..core.types import DeviceKind, Layout, Precision
-from ..gpu.launch import paper_launch
-from ..gpu.warp_sim import IssueProfile
-from ..ir import builder
-from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
 from .base import GPULowering, ProductivityInfo, ProgrammingModel, Support
@@ -55,6 +50,12 @@ class KernelAbstractionsModel(ProgrammingModel):
         return Support.yes("extension model (paper Sec. III-B, [55])")
 
     def lower_gpu(self, gpu: GPUSpec, precision: Precision) -> GPULowering:
+        from ..arrays.random import FillPolicy
+        from ..gpu.launch import paper_launch
+        from ..gpu.warp_sim import IssueProfile
+        from ..ir import builder
+        from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
+
         self.require_support(gpu, precision)
         kernel = builder.gpu_thread_per_element("gemm-ka-jl", precision,
                                                 Layout.COL_MAJOR)

@@ -31,21 +31,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..arrays.random import FillPolicy
 from ..config import RunConfig
 from ..core.types import DeviceKind, Layout, Precision
-from ..gpu.launch import paper_launch
-from ..gpu.warp_sim import IssueProfile
-from ..ir import builder
-from ..ir.passes import (
-    LoopInvariantMotion,
-    UnrollInnerLoop,
-    VectorizeInnerLoop,
-)
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
-from ..sched.affinity import PinPolicy
-from ..sim.executor import CPUIssueProfile
 from .base import CPULowering, GPULowering, ProductivityInfo, ProgrammingModel, Support
 
 __all__ = ["KokkosModel"]
@@ -99,6 +88,16 @@ class KokkosModel(ProgrammingModel):
 
     def lower_cpu(self, cpu: CPUSpec, precision: Precision,
                   config: Optional[RunConfig] = None) -> CPULowering:
+        from ..arrays.random import FillPolicy
+        from ..ir import builder
+        from ..ir.passes import (
+            LoopInvariantMotion,
+            UnrollInnerLoop,
+            VectorizeInnerLoop,
+        )
+        from ..sched.affinity import PinPolicy
+        from ..sim.executor import CPUIssueProfile
+
         self.require_support(cpu, precision)
         # C-equivalent row-parallel loop nest (see module docstring).
         kernel = builder.build_gemm(
@@ -127,6 +126,12 @@ class KokkosModel(ProgrammingModel):
     # -- GPU -----------------------------------------------------------------
 
     def lower_gpu(self, gpu: GPUSpec, precision: Precision) -> GPULowering:
+        from ..arrays.random import FillPolicy
+        from ..gpu.launch import paper_launch
+        from ..gpu.warp_sim import IssueProfile
+        from ..ir import builder
+        from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
+
         self.require_support(gpu, precision)
         is_cuda = "NVIDIA" in gpu.name.upper()
         # Kokkos device Views default to LayoutLeft (column-major).

@@ -23,22 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..arrays.random import FillPolicy
 from ..config import RunConfig
 from ..core.types import DeviceKind, Layout, Precision
-from ..gpu.launch import paper_launch
-from ..gpu.warp_sim import IssueProfile
-from ..ir import builder
-from ..ir.passes import (
-    LoopInvariantMotion,
-    SetFastMath,
-    UnrollInnerLoop,
-    VectorizeInnerLoop,
-)
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
-from ..sched.affinity import PinPolicy
-from ..sim.executor import CPUIssueProfile
 from .base import CPULowering, GPULowering, ProductivityInfo, ProgrammingModel, Support
 
 __all__ = ["NumbaModel"]
@@ -96,6 +84,17 @@ class NumbaModel(ProgrammingModel):
 
     def lower_cpu(self, cpu: CPUSpec, precision: Precision,
                   config: Optional[RunConfig] = None) -> CPULowering:
+        from ..arrays.random import FillPolicy
+        from ..ir import builder
+        from ..ir.passes import (
+            LoopInvariantMotion,
+            SetFastMath,
+            UnrollInnerLoop,
+            VectorizeInnerLoop,
+        )
+        from ..sched.affinity import PinPolicy
+        from ..sim.executor import CPUIssueProfile
+
         self.require_support(cpu, precision)
         kernel = builder.numba_cpu(precision)
         kernel, records = self._run_pipeline([
@@ -119,6 +118,12 @@ class NumbaModel(ProgrammingModel):
     # -- GPU -----------------------------------------------------------------
 
     def lower_gpu(self, gpu: GPUSpec, precision: Precision) -> GPULowering:
+        from ..arrays.random import FillPolicy
+        from ..gpu.launch import paper_launch
+        from ..gpu.warp_sim import IssueProfile
+        from ..ir import builder
+        from ..ir.passes import LoopInvariantMotion, UnrollInnerLoop
+
         self.require_support(gpu, precision)
         kernel = builder.gpu_thread_per_element("gemm-numba-cuda", precision,
                                                 Layout.ROW_MAJOR)

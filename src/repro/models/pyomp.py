@@ -20,20 +20,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..arrays.random import FillPolicy
 from ..config import RunConfig
 from ..core.types import DeviceKind, Precision
-from ..ir import builder
-from ..ir.passes import (
-    LoopInvariantMotion,
-    SetFastMath,
-    UnrollInnerLoop,
-    VectorizeInnerLoop,
-)
 from ..machine.cpu import CPUSpec
 from ..machine.gpu import GPUSpec
-from ..sched.affinity import PinPolicy
-from ..sim.executor import CPUIssueProfile
 from .base import CPULowering, ProductivityInfo, ProgrammingModel, Support
 from .numba import _CPU_QUALITY as _NUMBA_CPU_QUALITY
 
@@ -58,6 +48,17 @@ class PyOMPModel(ProgrammingModel):
 
     def lower_cpu(self, cpu: CPUSpec, precision: Precision,
                   config: Optional[RunConfig] = None) -> CPULowering:
+        from ..arrays.random import FillPolicy
+        from ..ir import builder
+        from ..ir.passes import (
+            LoopInvariantMotion,
+            SetFastMath,
+            UnrollInnerLoop,
+            VectorizeInnerLoop,
+        )
+        from ..sched.affinity import PinPolicy
+        from ..sim.executor import CPUIssueProfile
+
         self.require_support(cpu, precision)
         kernel = builder.numba_cpu(precision)  # same source as Fig. 2d
         kernel, records = self._run_pipeline([

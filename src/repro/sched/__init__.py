@@ -1,13 +1,6 @@
 """CPU execution simulation: affinity, chunking, NUMA, thread scheduling."""
 
-from .affinity import PinPolicy, ThreadPlacement, place_threads
-from .chunk import Schedule, chunk_sizes, imbalance, static_chunks
-from .numa import MemoryHome, ThreadMemoryCost, memory_costs
-from .thread_sim import (
-    ThreadSimResult,
-    ThreadWork,
-    simulate_parallel_region,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "PinPolicy",
@@ -24,3 +17,11 @@ __all__ = [
     "ThreadWork",
     "simulate_parallel_region",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".affinity": ("PinPolicy", "ThreadPlacement", "place_threads"),
+    ".chunk": ("Schedule", "chunk_sizes", "imbalance", "static_chunks"),
+    ".numa": ("MemoryHome", "ThreadMemoryCost", "memory_costs"),
+    ".thread_sim": ("ThreadSimResult", "ThreadWork",
+                    "simulate_parallel_region"),
+})

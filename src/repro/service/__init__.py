@@ -4,24 +4,17 @@ Two layers share this package:
 
 * the **request layer** — :class:`CampaignSpec` and its versioned JSON
   codec, the single object every entrypoint (CLI flags, ``REPRO_*``
-  environment, the wire API) resolves into; imported eagerly because
-  :func:`repro.harness.runner.run_campaign` is built on it;
+  environment, the wire API) resolves into;
 * the **service layer** — scheduler, campaign stepper, daemon and
-  client; loaded lazily (PEP 562) so ``import repro`` never pays for —
-  or cycles through — the HTTP/scheduling machinery.
+  client.
+
+Every export loads lazily (PEP 562), so a spec never pays for — or
+cycles through — the HTTP/scheduling machinery.
 """
 
 from __future__ import annotations
 
-from .spec import (
-    SPEC_VERSION,
-    SUPPORTED_SPEC_VERSIONS,
-    CampaignSpec,
-    spec_from_dict,
-    spec_from_json,
-    spec_to_dict,
-    spec_to_json,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "SPEC_VERSION",
@@ -31,7 +24,6 @@ __all__ = [
     "spec_from_json",
     "spec_to_dict",
     "spec_to_json",
-    # lazily loaded:
     "AdmissionPolicy",
     "OverloadPolicy",
     "TenantQuota",
@@ -45,24 +37,14 @@ __all__ = [
     "default_socket_path",
 ]
 
-_LAZY = {
-    "AdmissionPolicy": ".scheduler",
-    "OverloadPolicy": ".scheduler",
-    "TenantQuota": ".scheduler",
-    "FairShareScheduler": ".scheduler",
-    "Campaign": ".campaign",
-    "CampaignExecution": ".campaign",
-    "CampaignService": ".service",
-    "CampaignDaemon": ".daemon",
-    "default_socket_path": ".daemon",
-    "ClientPolicy": ".client",
-    "ServiceClient": ".client",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    return getattr(importlib.import_module(module, __name__), name)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".spec": ("SPEC_VERSION", "SUPPORTED_SPEC_VERSIONS", "CampaignSpec",
+              "spec_from_dict", "spec_from_json", "spec_to_dict",
+              "spec_to_json"),
+    ".scheduler": ("AdmissionPolicy", "OverloadPolicy", "TenantQuota",
+                   "FairShareScheduler"),
+    ".campaign": ("Campaign", "CampaignExecution"),
+    ".service": ("CampaignService",),
+    ".daemon": ("CampaignDaemon",),
+    ".client": ("ClientPolicy", "ServiceClient", "default_socket_path"),
+})

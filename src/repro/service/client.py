@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..errors import (
     AdmissionError,
@@ -36,10 +37,20 @@ from ..errors import (
     OverloadError,
     ServiceError,
 )
-from .daemon import default_socket_path
-from .spec import CampaignSpec, spec_to_dict
 
-__all__ = ["ClientPolicy", "ServiceClient"]
+if TYPE_CHECKING:
+    from .spec import CampaignSpec
+
+__all__ = ["ClientPolicy", "ServiceClient", "default_socket_path"]
+
+def default_socket_path() -> str:
+    """``$REPRO_SERVICE_SOCKET``, else ``service.sock`` in the runs dir."""
+    explicit = os.environ.get("REPRO_SERVICE_SOCKET")
+    if explicit:
+        return explicit
+    from ..harness.journal.registry import default_runs_dir
+    return os.path.join(default_runs_dir(), "service.sock")
+
 
 #: Error kinds the daemon names -> the exception class re-raised here.
 _ERROR_KINDS = {
@@ -230,6 +241,7 @@ class ServiceClient:
         the retries exactly-once (a duplicate answer carries the
         original id).
         """
+        from .spec import spec_to_dict
         return self.submit_payload(spec_to_dict(spec))
 
     def submit_payload(self, payload: Dict[str, Any]) -> str:

@@ -53,8 +53,8 @@ from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
 from ..errors import AdmissionError, ConfigError, OverloadError, ServiceError
-from ..harness.journal.registry import default_runs_dir
 from ..harness.report import render_result_set
+from .client import default_socket_path
 from .service import CampaignService
 from .spec import spec_from_dict
 
@@ -80,14 +80,6 @@ _THREAD_SHED_RESPONSE = (
     b"\r\n"
     b'{"error": "daemon handler threads exhausted; retry shortly", '
     b'"kind": "OverloadError"}\n')
-
-
-def default_socket_path() -> str:
-    """``$REPRO_SERVICE_SOCKET``, else ``service.sock`` in the runs dir."""
-    explicit = os.environ.get("REPRO_SERVICE_SOCKET")
-    if explicit:
-        return explicit
-    return os.path.join(default_runs_dir(), "service.sock")
 
 
 class _UnixHTTPServer(ThreadingMixIn, HTTPServer):

@@ -1,26 +1,6 @@
 """Cost engine: fluid bandwidth simulation, roofline/cache model, executor."""
 
-from .executor import (
-    CPUIssueProfile,
-    CPUKernelTiming,
-    cpu_cycles_total,
-    simulate_cpu_kernel,
-)
-from .blocking import (
-    BlockedEstimate,
-    best_tile_for,
-    blocked_gemm_estimate,
-    blocked_traffic_bytes,
-)
-from .faults import FAULT_COSTS, Fault, FaultConfig, FaultInjector, FaultKind
-from .fluid import Channel, Flow, FlowResult, FluidSimulation
-from .roofline import (
-    ArrayTraffic,
-    TrafficEstimate,
-    estimate_dram_traffic,
-    roofline_time,
-)
-from .variability import NODE_VARIABILITY, VariabilityModel, rng_for
+from .._lazy import lazy_exports
 
 __all__ = [
     "BlockedEstimate",
@@ -48,3 +28,16 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".executor": ("CPUIssueProfile", "CPUKernelTiming", "cpu_cycles_total",
+                  "simulate_cpu_kernel"),
+    ".blocking": ("BlockedEstimate", "best_tile_for", "blocked_gemm_estimate",
+                  "blocked_traffic_bytes"),
+    ".faults": ("FAULT_COSTS", "Fault", "FaultConfig", "FaultInjector",
+                "FaultKind"),
+    ".fluid": ("Channel", "Flow", "FlowResult", "FluidSimulation"),
+    ".roofline": ("ArrayTraffic", "TrafficEstimate", "estimate_dram_traffic",
+                  "roofline_time"),
+    ".variability": ("NODE_VARIABILITY", "VariabilityModel", "rng_for"),
+})

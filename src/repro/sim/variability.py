@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads on the first draw, not on import
+    import numpy as np
 
 __all__ = ["VariabilityModel", "NODE_VARIABILITY", "rng_for"]
 
@@ -41,6 +42,8 @@ def rng_for(seed: int, key: str) -> np.random.Generator:
     fault stream, each under disjoint key namespaces, so the two never
     perturb each other's samples.
     """
+    import numpy as np
+
     digest = hashlib.sha256(f"{seed}:{key}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
@@ -70,6 +73,8 @@ class VariabilityModel:
             raise ValueError("nominal time must be positive")
         if reps < 1:
             raise ValueError("need at least one repetition")
+        import numpy as np
+
         rng = rng_for(self.seed, key)
         jitter = np.exp(self.sigma * rng.standard_normal(reps))
         out = (nominal_seconds * jitter).tolist()

@@ -5,10 +5,7 @@ the five STREAM kernels across the same programming models and machines,
 with real NumPy implementations for host measurement and validation.
 """
 
-from .harness import DEFAULT_N, StreamTable, measure_host_stream, stream_table
-from .kernels import SCALAR, StreamArrays, make_arrays, run_kernel, validate_stream
-from .model import StreamTiming, simulate_stream
-from .spec import KERNEL_TRAITS, StreamKernel, StreamTraits
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_N",
@@ -26,3 +23,12 @@ __all__ = [
     "StreamKernel",
     "StreamTraits",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".harness": ("DEFAULT_N", "StreamTable", "measure_host_stream",
+                 "stream_table"),
+    ".kernels": ("SCALAR", "StreamArrays", "make_arrays", "run_kernel",
+                 "validate_stream"),
+    ".model": ("StreamTiming", "simulate_stream"),
+    ".spec": ("KERNEL_TRAITS", "StreamKernel", "StreamTraits"),
+})

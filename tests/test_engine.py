@@ -43,6 +43,13 @@ def small_exp(**kw):
     return Experiment(**defaults)
 
 
+def _store_files(cache):
+    """Every file under the cache root: the extension of each entry
+    file, or the bare name of an extensionless one."""
+    return sorted(n.rsplit(".", 1)[-1]
+                  for _, _, files in os.walk(cache.root) for n in files)
+
+
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(str(tmp_path / "cache"))
@@ -294,6 +301,44 @@ class TestConcurrentCacheWriters:
         assert cache.stats.snapshot()["evictions"] == before
         assert cache.get(fp) is not None
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_cold_sweep_leaves_no_lock_files(self, cache, parallel):
+        """Stores lock one store-wide file, not a per-entry sidecar: a
+        cold sweep leaves exactly one file per entry plus that lock."""
+        SweepEngine(cache=cache, parallel=parallel, max_workers=2).run(
+            small_exp())
+        assert _store_files(cache) == ["LOCK"] + ["json"] * 4
+
+    def test_lock_works_where_flock_needs_a_writable_descriptor(
+            self, cache, monkeypatch):
+        """NFS emulates ``flock`` with ``fcntl`` locks, which refuse an
+        exclusive lock on a read-only descriptor (EBADF): put and evict
+        must still work there."""
+        import errno
+        import fcntl
+
+        from repro.harness.engine import cache as cache_mod
+
+        class NfsFcntl:
+            LOCK_EX, LOCK_UN = fcntl.LOCK_EX, fcntl.LOCK_UN
+
+            @staticmethod
+            def flock(fd, op):
+                mode = fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE
+                if op == fcntl.LOCK_EX and mode == os.O_RDONLY:
+                    raise OSError(errno.EBADF, "Bad file descriptor")
+                fcntl.flock(fd, op)
+
+        monkeypatch.setattr(cache_mod, "fcntl", NfsFcntl)
+        fp, path, _ = self._seed(cache)
+        with open(path, "w") as fh:
+            fh.write("{corrupt")
+        assert cache.get(fp) is None          # evicts under the lock
+        assert not os.path.exists(path)
+        SweepEngine(cache=cache, parallel=False).run(
+            small_exp(models=("julia",), sizes=(256,)))
+        assert cache.get(fp) is not None      # stored under the lock
+
     def test_young_tmp_survives_clear(self, cache):
         fp, path, _ = self._seed(cache)
         shard = os.path.dirname(path)
@@ -393,6 +438,10 @@ class TestProcessEngine:
         warm = engine.run(exp)
         assert engine.last_report.cached_cells == 4
         assert all(m.supported for m in warm.measurements)
+
+    def test_workers_leave_no_lock_files(self, cache):
+        self._engine(cache=cache).run(small_exp())
+        assert _store_files(cache) == ["LOCK"] + ["json"] * 4
 
     def test_report_labels_the_fanout(self):
         engine = self._engine()

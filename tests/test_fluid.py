@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.fluid import Channel, Flow, FluidSimulation
+from repro.sim.fluid import Channel, Flow, FluidSimulation, _max_min_rates
 
 
 def sim(capacity=100.0):
@@ -126,3 +126,97 @@ class TestProperties:
                  for i in range(5)]
         makespan = sim(10.0).makespan(flows)
         assert makespan == pytest.approx(sum(10.0 * (i + 1) for i in range(5)) / 10.0)
+
+
+# -- physics of the solver ---------------------------------------------------
+
+_CHANNELS = ("c0", "c1", "c2")
+
+_flows = st.lists(
+    st.tuples(st.sampled_from(_CHANNELS),
+              st.one_of(st.just(0.0), st.floats(1.0, 1e6)),   # bytes
+              st.one_of(st.just(math.inf), st.floats(1.0, 1e6)),  # demand
+              st.floats(0.0, 10.0)),                           # start
+    min_size=1, max_size=10)
+_capacities = st.tuples(*(st.floats(1.0, 1e6) for _ in _CHANNELS))
+
+
+def _run(spec, capacities):
+    channels = [Channel(name, cap) for name, cap in zip(_CHANNELS, capacities)]
+    flows = [Flow(f"f{i}", b, d, c, start=s)
+             for i, (c, b, d, s) in enumerate(spec)]
+    return flows, {c.name: c for c in channels}, \
+        FluidSimulation(channels).run(flows)
+
+
+def _schedule(flows, channels, results):
+    """The piecewise-constant schedule behind ``results``: for each gap
+    between consecutive arrivals/completions, the active flows and the
+    max-min rates the solver grants them there."""
+    times = sorted({r.start for r in results.values()}
+                   | {r.finish for r in results.values()})
+    for a, b in zip(times, times[1:]):
+        active = [f for f in flows if f.bytes > 0
+                  and results[f.name].start <= a
+                  and results[f.name].finish >= b]
+        yield a, b, active, _max_min_rates(active, channels)
+
+
+class TestSolverPhysics:
+    """Invariants of the progressive-filling solver on arbitrary flow
+    mixes: several channels, staggered arrivals, zero-byte flows, and
+    flows with and without a demand cap."""
+
+    @given(_flows, _capacities)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_are_conserved(self, spec, capacities):
+        """Integrating each flow's granted rate over the schedule moves
+        exactly its bytes: no flow finishes early or late."""
+        flows, channels, results = _run(spec, capacities)
+        moved = {f.name: 0.0 for f in flows}
+        for a, b, active, rates in _schedule(flows, channels, results):
+            for f in active:
+                moved[f.name] += rates[f.name] * (b - a)
+        for f in flows:
+            assert moved[f.name] == pytest.approx(f.bytes, rel=1e-6,
+                                                  abs=1e-9)
+
+    @given(_flows, _capacities)
+    @settings(max_examples=200, deadline=None)
+    def test_rates_respect_demand_and_capacity(self, spec, capacities):
+        flows, channels, results = _run(spec, capacities)
+        for _, _, active, rates in _schedule(flows, channels, results):
+            load = {name: 0.0 for name in channels}
+            for f in active:
+                assert rates[f.name] <= f.demand_rate * (1 + 1e-12)
+                load[f.channel] += rates[f.name]
+            for name, used in load.items():
+                assert used <= channels[name].capacity * (1 + 1e-9)
+
+    @given(_flows, _capacities)
+    @settings(max_examples=200, deadline=None)
+    def test_rates_are_max_min_fair(self, spec, capacities):
+        """Each flow either runs at its demand cap, or its channel is
+        saturated and no flow on that channel gets more than it does."""
+        flows, channels, results = _run(spec, capacities)
+        for _, _, active, rates in _schedule(flows, channels, results):
+            for f in active:
+                r = rates[f.name]
+                if r >= f.demand_rate * (1 - 1e-12):
+                    continue
+                peers = [g for g in active if g.channel == f.channel]
+                assert sum(rates[g.name] for g in peers) == pytest.approx(
+                    channels[f.channel].capacity, rel=1e-9)
+                assert all(rates[g.name] <= r * (1 + 1e-9) for g in peers)
+
+    @given(_flows, _capacities)
+    @settings(max_examples=200, deadline=None)
+    def test_finish_never_precedes_compute_time(self, spec, capacities):
+        """No flow beats its own compute side (``bytes / demand_rate``)
+        or its channel running for it alone (``bytes / capacity``)."""
+        flows, channels, results = _run(spec, capacities)
+        for f in flows:
+            r = results[f.name]
+            assert r.start == f.start
+            alone = f.bytes / min(f.demand_rate, channels[f.channel].capacity)
+            assert r.finish - r.start >= alone * (1 - 1e-9)
